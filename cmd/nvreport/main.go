@@ -15,6 +15,7 @@
 //	nvreport -only table5,fig12  # a subset
 //	nvreport -jobs 8             # bound the worker pool explicitly
 //	nvreport -metrics m.json     # also dump the observability snapshot
+//	nvreport -cpuprofile cpu.pprof -memprofile mem.pprof   # pprof profiles
 //	nvreport -fault sink:every=50,seed=7   # seeded chaos run, degrades gracefully
 //
 // Exhibits: table1, table5, fig2, fig3, fig4, fig5, fig6, fig7, fig8,
@@ -66,7 +67,7 @@ func progressPrinter(w io.Writer) func(runner.Event) {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := cli.NewFlagSet("nvreport")
 	scale := fs.Float64("scale", 1.0, "problem scale for every experiment")
 	iters := fs.Int("iterations", 10, "main-loop iterations")
@@ -80,9 +81,15 @@ func run(args []string, out io.Writer) error {
 	retries := fs.Int("retries", 0, "re-execute a failed instrumented run up to this many attempts")
 	sampleSpec := fs.String("sample", "", "seeded sampled tracing for every instrumented run, e.g. bernoulli:rate=64,seed=7 or bytes:rate=4096 (default: observe every reference)")
 	shards := fs.Int("shards", 0, "split every instrumented run across this many deterministic shards (merged results are byte-identical to -shards 1; incompatible with -fault)")
+	prof := cli.ProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfiles, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer stopProfiles(&err)
 	if *shards > 1 && *faultSpec != "" {
 		return fmt.Errorf("-shards and -fault are incompatible (fault injection targets the one live pipeline of a run)")
 	}

@@ -198,3 +198,26 @@ func TestRunOutdir(t *testing.T) {
 		t.Fatal("unselected exhibit file must not exist")
 	}
 }
+
+// TestProfileFlagsKeepStdout: -cpuprofile and -memprofile write non-empty
+// pprof files and leave the report bytes untouched.
+func TestProfileFlagsKeepStdout(t *testing.T) {
+	args := []string{"-scale", "0.05", "-iterations", "3", "-jobs", "1", "-progress=false", "-only", "table1,table5"}
+	var plain, profiled bytes.Buffer
+	if err := run(args, &plain); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if err := run(append([]string{"-cpuprofile", cpu, "-memprofile", mem}, args...), &profiled); err != nil {
+		t.Fatal(err)
+	}
+	if stripTimestamp(profiled.String()) != stripTimestamp(plain.String()) {
+		t.Fatal("profiling changed the report bytes")
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Fatalf("profile %s missing or empty (err %v)", path, err)
+		}
+	}
+}

@@ -13,6 +13,7 @@
 //	nvscavenger -app nek5000 [-scale 1.0] [-iterations 10] [-mode fast]
 //	            [-placement] [-endurance] [-category 2] [-timeout 5m]
 //	            [-json snap.json] [-metrics m.txt]
+//	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	            [-fault access:every=50,seed=7]   # deterministic chaos run
 package main
 
@@ -88,7 +89,7 @@ func runSharded(ctx context.Context, appName string, scale float64, iters, shard
 	return instrumented{app: app, tr: stack.Tracer}, stack.Tracer.Sampled, nil
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := cli.NewFlagSet("nvscavenger")
 	appName := fs.String("app", "", "application to instrument: "+cli.AppList())
 	scale := fs.Float64("scale", 1.0, "problem scale (1.0 = calibrated default)")
@@ -104,6 +105,7 @@ func run(args []string, out io.Writer) error {
 	faultSpec := fs.String("fault", "", "chaos run: deterministic fault spec, e.g. access:every=50,seed=7 or worker:every=1")
 	sampleSpec := fs.String("sample", "", "seeded sampled tracing, e.g. bernoulli:rate=64,seed=7 or bytes:rate=4096 (default: observe every reference)")
 	shards := fs.Int("shards", 0, "split the instrumented run across this many deterministic shards (analysis byte-identical to -shards 1; incompatible with -fault)")
+	profiles := cli.ProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -122,6 +124,12 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown -mode %q (fast or slow)", *mode)
 	}
+
+	stopProfiles, err := profiles.Start()
+	if err != nil {
+		return err
+	}
+	defer stopProfiles(&err)
 
 	ctx := context.Background()
 	if *timeout > 0 {

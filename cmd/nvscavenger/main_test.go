@@ -127,3 +127,37 @@ func TestRunMetricsFile(t *testing.T) {
 		t.Error("missing metrics confirmation line")
 	}
 }
+
+// TestProfileFlagsKeepStdout: -cpuprofile and -memprofile write non-empty
+// pprof files and leave stdout untouched apart from the wall-time line,
+// which differs between any two runs.
+func TestProfileFlagsKeepStdout(t *testing.T) {
+	args := []string{"-app", "gtc", "-scale", "0.05", "-iterations", "3"}
+	withoutWall := func(text string) string {
+		lines := strings.Split(text, "\n")
+		kept := lines[:0]
+		for _, l := range lines {
+			if !strings.HasPrefix(l, "run wall time ") {
+				kept = append(kept, l)
+			}
+		}
+		return strings.Join(kept, "\n")
+	}
+	var plain, profiled bytes.Buffer
+	if err := run(args, &plain); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if err := run(append([]string{"-cpuprofile", cpu, "-memprofile", mem}, args...), &profiled); err != nil {
+		t.Fatal(err)
+	}
+	if withoutWall(profiled.String()) != withoutWall(plain.String()) {
+		t.Fatal("profiling changed stdout")
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Fatalf("profile %s missing or empty (err %v)", path, err)
+		}
+	}
+}

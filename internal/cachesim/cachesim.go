@@ -138,18 +138,16 @@ func (s LevelStats) HitRatio() float64 {
 	return float64(s.Hits) / float64(s.Accesses())
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	// lastUse implements LRU: larger is more recent.
-	lastUse uint64
-}
-
-// level is one set-associative write-back cache.
+// level is one set-associative write-back cache, stored as flat parallel
+// arrays: way w of set s lives at index s*ways+w.  A hit scan touches only
+// tags, 8 bytes per way.
 type level struct {
-	cfg      LevelConfig
-	sets     [][]line
+	cfg LevelConfig
+	// tags holds each way's tag+1; 0 marks an invalid way.
+	tags []uint64
+	// lastUse implements LRU: larger is more recent.
+	lastUse  []uint64
+	dirty    []bool
 	setMask  uint64
 	lineBits uint
 	clock    uint64
@@ -166,9 +164,13 @@ func newLevel(cfg LevelConfig) (*level, error) {
 		return nil, err
 	}
 	n := cfg.sets()
-	l := &level{cfg: cfg, sets: make([][]line, n), setMask: uint64(n - 1), rng: 0x2545F4914F6CDD1D}
-	for i := range l.sets {
-		l.sets[i] = make([]line, cfg.Ways)
+	l := &level{
+		cfg:     cfg,
+		tags:    make([]uint64, n*cfg.Ways),
+		lastUse: make([]uint64, n*cfg.Ways),
+		dirty:   make([]bool, n*cfg.Ways),
+		setMask: uint64(n - 1),
+		rng:     0x2545F4914F6CDD1D,
 	}
 	for b := cfg.LineSize; b > 1; b >>= 1 {
 		l.lineBits++
@@ -187,16 +189,17 @@ type evicted struct {
 // dirty bit on the (hit or freshly filled) line.
 func (l *level) access(lineAddr uint64, markDirty, allocate bool) (hit bool, ev evicted, hasEv bool) {
 	l.clock++
-	setIdx := (lineAddr >> l.lineBits) & l.setMask
 	tag := lineAddr >> l.lineBits
-	set := l.sets[setIdx]
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	base := int(tag&l.setMask) * l.cfg.Ways
+	key := tag + 1
+	tags := l.tags[base : base+l.cfg.Ways]
+	for i, t := range tags {
+		if t == key {
 			if l.cfg.Replacement != FIFO {
-				set[i].lastUse = l.clock // FIFO keeps the fill stamp
+				l.lastUse[base+i] = l.clock // FIFO keeps the fill stamp
 			}
 			if markDirty {
-				set[i].dirty = true
+				l.dirty[base+i] = true
 			}
 			if !l.muted {
 				l.stats.Hits++
@@ -213,24 +216,25 @@ func (l *level) access(lineAddr uint64, markDirty, allocate bool) (hit bool, ev 
 	// Choose victim: an invalid way, else by the replacement policy.  For
 	// FIFO, lastUse is only stamped on fill (below), so the LRU comparison
 	// degenerates to insertion order; for random, xorshift picks the way.
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			goto fill
+	lastUse := l.lastUse[base : base+l.cfg.Ways]
+	victim, full := 0, true
+	for i, t := range tags {
+		if t == 0 {
+			victim, full = i, false
+			break
 		}
-		if set[i].lastUse < set[victim].lastUse {
+		if lastUse[i] < lastUse[victim] {
 			victim = i
 		}
 	}
-	if l.cfg.Replacement == RandomRepl {
-		l.rng ^= l.rng << 13
-		l.rng ^= l.rng >> 7
-		l.rng ^= l.rng << 17
-		victim = int(l.rng % uint64(len(set)))
-	}
-	if set[victim].valid {
-		ev = evicted{lineAddr: set[victim].tag << l.lineBits, dirty: set[victim].dirty}
+	if full {
+		if l.cfg.Replacement == RandomRepl {
+			l.rng ^= l.rng << 13
+			l.rng ^= l.rng >> 7
+			l.rng ^= l.rng << 17
+			victim = int(l.rng % uint64(l.cfg.Ways))
+		}
+		ev = evicted{lineAddr: (tags[victim] - 1) << l.lineBits, dirty: l.dirty[base+victim]}
 		hasEv = true
 		if !l.muted {
 			l.stats.Evictions++
@@ -239,24 +243,21 @@ func (l *level) access(lineAddr uint64, markDirty, allocate bool) (hit bool, ev 
 			}
 		}
 	}
-fill:
-	set[victim] = line{tag: tag, valid: true, dirty: markDirty, lastUse: l.clock}
+	tags[victim] = key
+	lastUse[victim] = l.clock
+	l.dirty[base+victim] = markDirty
 	return false, ev, hasEv
 }
 
-// invalidate drops a line if present, returning whether it was dirty.
-func (l *level) invalidate(lineAddr uint64) (present, dirty bool) {
-	setIdx := (lineAddr >> l.lineBits) & l.setMask
-	tag := lineAddr >> l.lineBits
-	set := l.sets[setIdx]
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			d := set[i].dirty
-			set[i] = line{}
-			return true, d
+// drainDirty cleans every dirty line, set by set and way by way, passing
+// each one's line address to writeBack in that order.
+func (l *level) drainDirty(writeBack func(lineAddr uint64)) {
+	for w, t := range l.tags {
+		if t != 0 && l.dirty[w] {
+			writeBack((t - 1) << l.lineBits)
+			l.dirty[w] = false
 		}
 	}
-	return false, false
 }
 
 // TxSink receives filtered main-memory transactions one at a time — the
@@ -611,21 +612,7 @@ func (h *Hierarchy) Flush(batch []trace.Access) error {
 // returns the sink's sticky error, if any.  Call once at end of simulation
 // so that resident dirty data is priced like DRAMSim2's final flush.
 func (h *Hierarchy) Drain() error {
-	for _, set := range h.l1.sets {
-		for i := range set {
-			if set[i].valid && set[i].dirty {
-				h.l2WriteBack(set[i].tag << h.l1.lineBits)
-				set[i].dirty = false
-			}
-		}
-	}
-	for _, set := range h.l2.sets {
-		for i := range set {
-			if set[i].valid && set[i].dirty {
-				h.emit(set[i].tag<<h.l2.lineBits, true)
-				set[i].dirty = false
-			}
-		}
-	}
+	h.l1.drainDirty(h.l2WriteBack)
+	h.l2.drainDirty(func(lineAddr uint64) { h.emit(lineAddr, true) })
 	return h.FlushTx()
 }

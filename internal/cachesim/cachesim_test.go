@@ -2,6 +2,7 @@ package cachesim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -384,23 +385,6 @@ func TestServiceLevelString(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	h := MustNew(tinyConfig(), nil)
-	h.Access(trace.Access{Addr: 0x100, Size: 8, Op: trace.Read})
-	h.Access(trace.Access{Addr: 0x100, Size: 8, Op: trace.Write}) // dirty in L1
-	present, dirty := h.l1.invalidate(0x100)
-	if !present || !dirty {
-		t.Fatalf("invalidate = %v/%v, want present+dirty", present, dirty)
-	}
-	if present, _ := h.l1.invalidate(0x100); present {
-		t.Fatal("second invalidate must miss")
-	}
-	// The next access misses again.
-	if lvl := h.Access(trace.Access{Addr: 0x100, Size: 8, Op: trace.Read}); lvl == ServicedL1 {
-		t.Fatal("invalidated line must not hit L1")
-	}
-}
-
 func TestReplacementString(t *testing.T) {
 	if LRU.String() != "LRU" || FIFO.String() != "FIFO" || RandomRepl.String() != "random" {
 		t.Fatal("replacement strings wrong")
@@ -558,5 +542,202 @@ func TestExportMetrics(t *testing.T) {
 	}
 	if v, ok := s.Gauge("cachesim_mem_reads", obs.L("app", "test")); !ok || v != float64(h.MemReads) {
 		t.Fatalf("cachesim_mem_reads = %v, want %d", v, h.MemReads)
+	}
+}
+
+// refLine and refLevel are the array-of-structs cache level the flat
+// parallel-array layout replaced, kept as a reference model: one []line
+// per set, an explicit valid bit, victim choice and drain walk exactly as
+// before.
+type refLine struct {
+	tag     uint64
+	valid   bool
+	dirty   bool
+	lastUse uint64
+}
+
+type refLevel struct {
+	cfg      LevelConfig
+	sets     [][]refLine
+	setMask  uint64
+	lineBits uint
+	clock    uint64
+	rng      uint64
+	stats    LevelStats
+	muted    bool
+}
+
+func newRefLevel(cfg LevelConfig) *refLevel {
+	n := cfg.sets()
+	l := &refLevel{cfg: cfg, sets: make([][]refLine, n), setMask: uint64(n - 1), rng: 0x2545F4914F6CDD1D}
+	for i := range l.sets {
+		l.sets[i] = make([]refLine, cfg.Ways)
+	}
+	for b := cfg.LineSize; b > 1; b >>= 1 {
+		l.lineBits++
+	}
+	return l
+}
+
+func (l *refLevel) access(lineAddr uint64, markDirty, allocate bool) (hit bool, ev evicted, hasEv bool) {
+	l.clock++
+	setIdx := (lineAddr >> l.lineBits) & l.setMask
+	tag := lineAddr >> l.lineBits
+	set := l.sets[setIdx]
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			if l.cfg.Replacement != FIFO {
+				set[i].lastUse = l.clock
+			}
+			if markDirty {
+				set[i].dirty = true
+			}
+			if !l.muted {
+				l.stats.Hits++
+			}
+			return true, evicted{}, false
+		}
+	}
+	if !l.muted {
+		l.stats.Misses++
+	}
+	if !allocate {
+		return false, evicted{}, false
+	}
+	victim := 0
+	for i := range set {
+		if !set[i].valid {
+			victim = i
+			goto fill
+		}
+		if set[i].lastUse < set[victim].lastUse {
+			victim = i
+		}
+	}
+	if l.cfg.Replacement == RandomRepl {
+		l.rng ^= l.rng << 13
+		l.rng ^= l.rng >> 7
+		l.rng ^= l.rng << 17
+		victim = int(l.rng % uint64(len(set)))
+	}
+	if set[victim].valid {
+		ev = evicted{lineAddr: set[victim].tag << l.lineBits, dirty: set[victim].dirty}
+		hasEv = true
+		if !l.muted {
+			l.stats.Evictions++
+			if ev.dirty {
+				l.stats.Writebacks++
+			}
+		}
+	}
+fill:
+	set[victim] = refLine{tag: tag, valid: true, dirty: markDirty, lastUse: l.clock}
+	return false, ev, hasEv
+}
+
+func (l *refLevel) drainDirty(writeBack func(lineAddr uint64)) {
+	for _, set := range l.sets {
+		for i := range set {
+			if set[i].valid && set[i].dirty {
+				writeBack(set[i].tag << l.lineBits)
+				set[i].dirty = false
+			}
+		}
+	}
+}
+
+// TestLevelMatchesReferenceModel drives the flat level and the reference
+// model with the same seeded line streams across every replacement policy,
+// both allocation policies and mute toggles, and requires identical hits,
+// evictions (line address and dirty bit), statistics and drain order.
+func TestLevelMatchesReferenceModel(t *testing.T) {
+	geometries := []LevelConfig{
+		{Name: "4x3", SizeBytes: 4 * 3 * 64, Ways: 3, LineSize: 64},
+		{Name: "8x4", SizeBytes: 8 * 4 * 64, Ways: 4, LineSize: 64},
+		{Name: "16x16", SizeBytes: 16 * 16 * 128, Ways: 16, LineSize: 128},
+	}
+	drained := 0
+	for _, geo := range geometries {
+		for _, repl := range []Replacement{LRU, FIFO, RandomRepl} {
+			for _, wa := range []bool{false, true} {
+				for seed := int64(1); seed <= 3; seed++ {
+					cfg := geo
+					cfg.Replacement, cfg.WriteAllocate = repl, wa
+					drained += checkLevelAgainstReference(t, cfg, seed)
+				}
+			}
+		}
+	}
+	if drained == 0 {
+		t.Fatal("no stream left a dirty line: the drain order went untested")
+	}
+}
+
+// checkLevelAgainstReference runs one seeded stream through both models and
+// returns how many dirty lines the final drain wrote back.
+func checkLevelAgainstReference(t *testing.T, cfg LevelConfig, seed int64) int {
+	t.Helper()
+	got, err := newLevel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := newRefLevel(cfg)
+	rng := rand.New(rand.NewSource(seed))
+	// Three times the capacity in distinct lines forces steady eviction;
+	// the high base exercises tags well above the set bits, and line 0
+	// (tag 0) the tag+1 encoding.
+	lines := 3 * cfg.sets() * cfg.Ways
+	for i := 0; i < 20000; i++ {
+		if rng.Intn(500) == 0 {
+			m := !got.muted
+			got.muted, want.muted = m, m
+		}
+		n := uint64(rng.Intn(lines))
+		if n%2 == 1 {
+			n += 1 << 40
+		}
+		lineAddr := n << got.lineBits
+		write := rng.Intn(3) == 0
+		allocate := !write || cfg.WriteAllocate
+		gh, gev, ghas := got.access(lineAddr, write, allocate)
+		wh, wev, whas := want.access(lineAddr, write, allocate)
+		if gh != wh || gev != wev || ghas != whas {
+			t.Fatalf("%s %v wa=%v seed %d access %d (line %#x): got (%v, %+v, %v), want (%v, %+v, %v)",
+				cfg.Name, cfg.Replacement, cfg.WriteAllocate, seed, i, lineAddr, gh, gev, ghas, wh, wev, whas)
+		}
+	}
+	if got.stats != want.stats {
+		t.Fatalf("%s %v wa=%v seed %d: stats %+v, want %+v", cfg.Name, cfg.Replacement, cfg.WriteAllocate, seed, got.stats, want.stats)
+	}
+	var gDrain, wDrain []uint64
+	got.drainDirty(func(a uint64) { gDrain = append(gDrain, a) })
+	want.drainDirty(func(a uint64) { wDrain = append(wDrain, a) })
+	if !slices.Equal(gDrain, wDrain) {
+		t.Fatalf("%s %v wa=%v seed %d: drain order %x, want %x", cfg.Name, cfg.Replacement, cfg.WriteAllocate, seed, gDrain, wDrain)
+	}
+	return len(gDrain)
+}
+
+// TestNewAllocsIndependentOfSets gates the layout's allocation shape: a
+// hierarchy is a constant handful of objects however many sets it has.
+func TestNewAllocsIndependentOfSets(t *testing.T) {
+	allocs := func(cfg Config) float64 {
+		// Enough runs that a stray runtime allocation during a GC cycle
+		// truncates away in the per-run average.
+		return testing.AllocsPerRun(50, func() {
+			if _, err := New(cfg, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	paper := allocs(PaperConfig())
+	big := PaperConfig()
+	big.L1.SizeBytes *= 4
+	big.L2.SizeBytes *= 4
+	if quad := allocs(big); quad != paper {
+		t.Fatalf("New allocates %v objects at 4x the sets, %v at Table II: must not depend on set count", quad, paper)
+	}
+	if paper > 10 {
+		t.Fatalf("New(PaperConfig()) allocates %v objects, want a small constant (<= 10)", paper)
 	}
 }

@@ -9,10 +9,13 @@ package cli
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"text/tabwriter"
 
@@ -63,10 +66,10 @@ func RequireApp(fs *flag.FlagSet, name string) error {
 }
 
 // WriteJSONFile creates path and hands the file to write (typically a
-// snapshot's WriteJSON), closing it on every path; used by the tools'
-// -json flags.  The write error takes precedence over the close error —
-// a failed write usually makes the close fail too, and the first cause is
-// the one worth reporting.
+// snapshot's WriteJSON), closing it on every path; the tools' -json,
+// -metrics and -memprofile files are all written through it.  The write
+// error takes precedence over the close error — a failed write usually
+// makes the close fail too, and the first cause is the one worth reporting.
 func WriteJSONFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -120,16 +123,61 @@ func WriteMetricsFile(path string, snap obs.Snapshot) error {
 	if strings.HasSuffix(path, ".json") {
 		write = snap.WriteJSON
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	return WriteJSONFile(path, write)
+}
+
+// Profiles holds a tool's opt-in -cpuprofile and -memprofile paths.
+// Profiling writes only to those files, never to the tool's stdout, so a
+// profiled run prints the same bytes as an unprofiled one.
+type Profiles struct {
+	cpu, mem string
+}
+
+// ProfileFlags registers -cpuprofile and -memprofile on fs.
+func ProfileFlags(fs *flag.FlagSet) *Profiles {
+	p := &Profiles{}
+	fs.StringVar(&p.cpu, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	fs.StringVar(&p.mem, "memprofile", "", "write a pprof heap profile to this file when the run ends")
+	return p
+}
+
+// Start begins CPU profiling if requested and returns the function that
+// ends it and writes the heap profile.  Defer stop(&err) from a function
+// with a named error result: a profile-writing failure becomes the
+// function's error unless it already failed for another reason.
+func (p *Profiles) Start() (stop func(errp *error), err error) {
+	var cpuFile *os.File
+	if p.cpu != "" {
+		if cpuFile, err = os.Create(p.cpu); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			if cerr := cpuFile.Close(); cerr != nil {
+				return nil, errors.Join(err, cerr)
+			}
+			return nil, err
+		}
 	}
-	werr := write(f)
-	cerr := f.Close()
-	if werr != nil {
-		return werr
-	}
-	return cerr
+	return func(errp *error) {
+		var errs []error
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			errs = append(errs, cpuFile.Close())
+		}
+		if p.mem != "" {
+			errs = append(errs, writeHeapProfile(p.mem))
+		}
+		if *errp == nil {
+			*errp = errors.Join(errs...)
+		}
+	}, nil
+}
+
+// writeHeapProfile writes the heap profile as of the last completed GC,
+// forcing one first so the profile reflects the whole run.
+func writeHeapProfile(path string) error {
+	runtime.GC()
+	return WriteJSONFile(path, pprof.WriteHeapProfile)
 }
 
 // Table renders aligned report columns through a tabwriter.  Rows are

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -84,5 +85,63 @@ func TestTableAligns(t *testing.T) {
 	off := strings.Index(lines[0], "segment")
 	if off < 0 || strings.Index(lines[1], "heap") != off || strings.Index(lines[2], "global") != off {
 		t.Fatalf("columns misaligned:\n%s", buf.String())
+	}
+}
+
+func TestProfilesWriteFiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	fs := NewFlagSet("t")
+	p := ProfileFlags(fs)
+	if err := fs.Parse([]string{"-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+		t.Fatal(err)
+	}
+	stop, err := p.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop(&err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Fatalf("profile %s missing or empty (err %v)", path, err)
+		}
+	}
+}
+
+func TestProfilesOffAndErrors(t *testing.T) {
+	fs := NewFlagSet("t")
+	p := ProfileFlags(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	stop, err := p.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop(&err)
+	if err != nil {
+		t.Fatalf("profiling off must not fail: %v", err)
+	}
+
+	bad := filepath.Join(t.TempDir(), "no", "dir", "p.pprof")
+	if _, err := (&Profiles{cpu: bad}).Start(); err == nil {
+		t.Fatal("unwritable -cpuprofile must fail at Start")
+	}
+	stop, err = (&Profiles{mem: bad}).Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop(&err)
+	if err == nil {
+		t.Fatal("unwritable -memprofile must fail at stop")
+	}
+	prior := errors.New("run failed")
+	err = prior
+	stop(&err)
+	if err != prior {
+		t.Fatalf("stop replaced the run's own error: %v", err)
 	}
 }

@@ -22,6 +22,7 @@ package cpusim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nvscavenger/internal/cachesim"
 	"nvscavenger/internal/trace"
@@ -103,9 +104,14 @@ type Core struct {
 	hw  *cachesim.Hierarchy
 
 	memLatCycles float64
+	// issueStep is the issue bandwidth cost of one instruction in cycles
+	// (1/IssueWidth); lineShift is log2 of the cache line size, the
+	// prefetcher's address-to-line shift.
+	issueStep float64
+	lineShift int
 
-	// clockQ is the next issue slot in quarter^-1 cycles: we track issue
-	// bandwidth as fractional cycles (1/IssueWidth per instruction).
+	// clock is the next issue slot in fractional cycles: each instruction
+	// advances it by issueStep.
 	clock float64
 	// retire[i%ROB] is the retire cycle of the i-th most recent instruction.
 	retire []float64
@@ -155,6 +161,8 @@ func New(cfg Config) (*Core, error) {
 		cfg:          cfg,
 		hw:           hw,
 		memLatCycles: cfg.MemLatencyNS * cfg.FreqGHz,
+		issueStep:    1.0 / float64(cfg.IssueWidth),
+		lineShift:    bits.TrailingZeros(uint(hw.LineSize())),
 		retire:       make([]float64, cfg.ROB),
 		misses:       make([]float64, cfg.MissBuffer),
 	}
@@ -183,7 +191,7 @@ func MustNew(cfg Config) *Core {
 // returns its retire cycle.
 func (c *Core) issueOne(lat float64, isMemMiss bool) float64 {
 	// Claim an issue slot.
-	c.clock += 1.0 / float64(c.cfg.IssueWidth)
+	c.clock += c.issueStep
 	issue := c.clock
 
 	// The reorder buffer must have a free entry: the instruction ROB
@@ -208,10 +216,16 @@ func (c *Core) issueOne(lat float64, isMemMiss bool) float64 {
 				c.clock = issue
 				c.missStalls++
 			}
-			c.mHead = (c.mHead + 1) % c.cfg.MissBuffer
+			if c.mHead++; c.mHead == c.cfg.MissBuffer {
+				c.mHead = 0
+			}
 			c.mCount--
 		}
-		c.misses[(c.mHead+c.mCount)%c.cfg.MissBuffer] = issue + lat
+		tail := c.mHead + c.mCount
+		if tail >= c.cfg.MissBuffer {
+			tail -= c.cfg.MissBuffer
+		}
+		c.misses[tail] = issue + lat
 		c.mCount++
 	}
 
@@ -221,7 +235,9 @@ func (c *Core) issueOne(lat float64, isMemMiss bool) float64 {
 	}
 	c.lastRetire = done
 	c.retire[c.pos] = done
-	c.pos = (c.pos + 1) % c.cfg.ROB
+	if c.pos++; c.pos == c.cfg.ROB {
+		c.pos = 0
+	}
 	c.instrs++
 	return done
 }
@@ -295,7 +311,7 @@ func (c *Core) prefetched(addr uint64) bool {
 	if len(c.streams) == 0 {
 		return false
 	}
-	line := addr >> 6
+	line := addr >> c.lineShift
 	for i, s := range c.streams {
 		if line == s+1 || line == s {
 			c.streams[i] = line

@@ -263,6 +263,27 @@ func TestPrefetcherHidesSequentialStreams(t *testing.T) {
 	}
 }
 
+// TestPrefetcherFollowsConfiguredLineSize pins the prefetcher's line
+// granularity to the hierarchy's: with 128 B lines, a 128 B-stride read-miss
+// stream advances one line per reference and must be recognised as a
+// stream (a hard-coded 64 B shift sees every other line and never hits).
+func TestPrefetcherFollowsConfiguredLineSize(t *testing.T) {
+	cfg := PaperConfig(100)
+	cfg.Cache.L1.LineSize = 128
+	cfg.Cache.L2.LineSize = 128
+	core := MustNew(cfg)
+	for i := 0; i < 20000; i++ {
+		core.Event(2, trace.Access{Addr: uint64(i) * 128, Size: 8, Op: trace.Read})
+	}
+	s := core.Stats()
+	if s.PrefetchHits == 0 {
+		t.Fatalf("128 B-stride stream over 128 B lines scored no prefetch hits (%d memory accesses)", s.MemAccesses)
+	}
+	if frac := float64(s.PrefetchHits) / float64(s.PrefetchHits+s.MemAccesses); frac < 0.9 {
+		t.Fatalf("prefetch coverage = %.3f on a pure 128 B-line stream, want > 0.9", frac)
+	}
+}
+
 func TestPrefetcherIgnoresRandomAccess(t *testing.T) {
 	cfg := PaperConfig(100)
 	core := MustNew(cfg)

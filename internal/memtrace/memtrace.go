@@ -91,6 +91,10 @@ type Window struct {
 // contains reports whether the window owns main-loop iteration i.
 func (w *Window) contains(i int) bool { return i >= w.Start && i <= w.End }
 
+// numSegments sizes the per-segment counter array: trace.Segment has the
+// four values SegUnknown..SegStack.
+const numSegments = int(trace.SegStack) + 1
+
 // PerfSink is the batched performance-event consumer contract; it is
 // trace.PerfSink, aliased here for call sites that configure a Tracer.
 type PerfSink = trace.PerfSink
@@ -116,8 +120,9 @@ type Tracer struct {
 	iterInstrs []uint64 // retired instructions per iteration
 	instrs     uint64   // instructions in the current iteration
 
-	// per-segment, per-iteration reference counters (Table V input)
-	segIter map[trace.Segment][]trace.Stats
+	// per-segment, per-iteration reference counters (Table V input),
+	// indexed by trace.Segment
+	segIter [numSegments][]trace.Stats
 
 	// stack state
 	frames     []frame
@@ -187,7 +192,6 @@ func New(cfg Config) *Tracer {
 		routines:   map[string]*Object{},
 		heap:       newHeapState(),
 		globals:    newGlobalState(),
-		segIter:    map[trace.Segment][]trace.Stats{},
 		iterInstrs: []uint64{0},
 		sampler:    newSampler(spec),
 		win:        cfg.Window,
@@ -361,12 +365,11 @@ func (t *Tracer) access(addr uint64, size uint8, op trace.Op) {
 	t.Sampled++
 
 	seg := t.classify(addr)
-	stats := t.segIter[seg]
-	for len(stats) <= t.iter {
-		stats = append(stats, trace.Stats{})
+	stats := &t.segIter[seg]
+	for len(*stats) <= t.iter {
+		*stats = append(*stats, trace.Stats{})
 	}
-	stats[t.iter].Observe(trace.Access{Addr: addr, Size: size, Op: op})
-	t.segIter[seg] = stats
+	(*stats)[t.iter].Observe(trace.Access{Addr: addr, Size: size, Op: op})
 
 	var obj *Object
 	switch seg {
@@ -439,8 +442,11 @@ func (t *Tracer) classify(addr uint64) trace.Segment {
 }
 
 // SegmentStats returns the aggregate counters for one segment in iteration
-// i (zero value if none).
+// i (zero value if none, or if seg is not a known segment).
 func (t *Tracer) SegmentStats(seg trace.Segment, iter int) trace.Stats {
+	if int(seg) >= numSegments {
+		return trace.Stats{}
+	}
 	s := t.segIter[seg]
 	if iter < 0 || iter >= len(s) {
 		return trace.Stats{}

@@ -287,3 +287,39 @@ func TestMatHelpers(t *testing.T) {
 		t.Fatal("global matrix should be in global segment")
 	}
 }
+
+// TestSegmentStatsUnknownSegment pins the bounds guard: a segment value
+// outside SegUnknown..SegStack reads as zero instead of indexing past the
+// per-segment counter array.
+func TestSegmentStatsUnknownSegment(t *testing.T) {
+	tr := newFast(t)
+	g, _ := tr.GlobalF64("x", 4)
+	tr.BeginIteration()
+	_ = g.Load(0)
+	if got := tr.SegmentStats(trace.Segment(7), 0); got != (trace.Stats{}) {
+		t.Fatalf("SegmentStats(7, 0) = %+v, want zero", got)
+	}
+	if got := tr.SegmentTotals(trace.Segment(7), 0, 1); got != (trace.Stats{}) {
+		t.Fatalf("SegmentTotals(7, 0, 1) = %+v, want zero", got)
+	}
+}
+
+// TestLoadSteadyStateAllocs is the machine-independent gate on the
+// per-reference path: once an iteration's counters exist, tracing a load
+// allocates nothing.
+func TestLoadSteadyStateAllocs(t *testing.T) {
+	tr := newFast(t)
+	h, _ := tr.HeapF64("field", "app.go:1", 64)
+	tr.BeginIteration()
+	for i := 0; i < h.Len(); i++ {
+		_ = h.Load(i)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < h.Len(); i++ {
+			_ = h.Load(i)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state F64.Load allocates %v per %d references, want 0", allocs, h.Len())
+	}
+}

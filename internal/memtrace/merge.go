@@ -63,24 +63,17 @@ func MergeShards(shards []*Tracer) *Tracer {
 				base.sampleBytes[b.ID] += s.sampleBytes[o.ID]
 			}
 		}
-		// Segments form a fixed four-element universe; iterating them
-		// explicitly keeps the merge order deterministic.
-		for _, seg := range []trace.Segment{trace.SegUnknown, trace.SegGlobal, trace.SegHeap, trace.SegStack} {
-			donor := s.segIter[seg]
-			if len(donor) == 0 {
-				continue
-			}
-			stats := base.segIter[seg]
-			for len(stats) < len(donor) {
-				stats = append(stats, trace.Stats{})
+		for seg, donor := range s.segIter {
+			stats := &base.segIter[seg]
+			for len(*stats) < len(donor) {
+				*stats = append(*stats, trace.Stats{})
 			}
 			for i := range donor {
-				stats[i].Reads += donor[i].Reads
-				stats[i].Writes += donor[i].Writes
-				stats[i].BytesRead += donor[i].BytesRead
-				stats[i].BytesWrite += donor[i].BytesWrite
+				(*stats)[i].Reads += donor[i].Reads
+				(*stats)[i].Writes += donor[i].Writes
+				(*stats)[i].BytesRead += donor[i].BytesRead
+				(*stats)[i].BytesWrite += donor[i].BytesWrite
 			}
-			base.segIter[seg] = stats
 		}
 		base.Unknown += s.Unknown
 		base.Sampled += s.Sampled
