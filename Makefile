@@ -1,8 +1,12 @@
 GO ?= go
 
-.PHONY: ci lint vet build test race race-obs race-pipeline race-sampling race-served race-shard race-journal bench bench-snapshot bench-compare chaos report
+.PHONY: ci fmt lint vet build test race race-obs race-pipeline race-sampling race-served race-shard race-journal bench bench-snapshot bench-compare chaos report
 
-ci: lint vet build race-obs race-pipeline race-sampling race-served race-shard race-journal race bench chaos
+ci: fmt lint vet build race-obs race-pipeline race-sampling race-served race-shard race-journal race bench chaos
+
+# Formatting gate: gofmt must have nothing to rewrite anywhere in the tree.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 # Project-native static analysis: the syntactic passes (determinism,
 # metric naming, the error contract, the sticky-sink contract) plus the

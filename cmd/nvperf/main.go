@@ -1,9 +1,12 @@
 // Command nvperf is the performance-sensitivity simulator front end
 // (paper §V / Figure 12).
 //
-// It re-executes a mini-application against the trace-driven out-of-order
-// core model once per memory technology, varying only the main-memory
-// access latency (Table IV), and reports the normalized runtimes.
+// It executes a mini-application once, classifies its reference stream
+// through the Table II cache hierarchy once, and times it on the
+// trace-driven out-of-order core model at every memory latency (Table IV;
+// only the main-memory access latency varies), reporting the normalized
+// runtimes.  Tracer and pipeline metrics are recorded once under the app
+// label; the cpusim series carry a latency_ns label per sweep point.
 //
 // Usage:
 //
@@ -21,6 +24,7 @@ import (
 	"nvscavenger/internal/cpusim"
 	"nvscavenger/internal/obs"
 	"nvscavenger/internal/pipeline"
+	"nvscavenger/internal/trace"
 
 	_ "nvscavenger/internal/apps/cammini"
 	_ "nvscavenger/internal/apps/gtcmini"
@@ -56,21 +60,21 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("no latencies given")
 	}
 
-	fmt.Fprintf(out, "%s latency sweep (%d iteration(s), scale %.2f)\n", *appName, *iters, *scale)
-	fmt.Fprintf(out, "%12s %14s %10s %8s %14s %14s\n",
-		"latency (ns)", "cycles", "normalized", "IPC", "mem accesses", "prefetch hits")
 	reg := obs.NewRegistry()
-	var base float64
-	for _, lat := range lats {
-		app, err := apps.New(*appName, *scale)
-		if err != nil {
-			return err
-		}
-		c := cpusim.MustNew(cpusim.PaperConfig(lat))
-		ls := []obs.Label{obs.L("app", *appName), obs.L("latency_ns", strconv.FormatFloat(lat, 'g', -1, 64))}
-		// The core is a batched trace.PerfSink: the tracer stages events and
-		// flushes references plus instruction gaps in one call per batch.
-		stack, err := pipeline.Build(pipeline.Config{Perf: c, Metrics: reg, Labels: ls})
+	app, err := apps.New(*appName, *scale)
+	if err != nil {
+		return err
+	}
+	labels := make([]string, len(lats))
+	for i, lat := range lats {
+		labels[i] = strconv.FormatFloat(lat, 'g', -1, 64)
+	}
+	appLabel := obs.L("app", *appName)
+	// The sweep is a batched trace.PerfSink: the tracer stages events and
+	// flushes references plus instruction gaps in one call per batch, and
+	// the sweep times each batch at every latency.
+	res, err := cpusim.Sweep(labels, lats, func(sink trace.PerfSink) error {
+		stack, err := pipeline.Build(pipeline.Config{Perf: sink, Metrics: reg, Labels: []obs.Label{appLabel}})
 		if err != nil {
 			return err
 		}
@@ -80,18 +84,25 @@ func run(args []string, out io.Writer) error {
 		if err := stack.Close(); err != nil {
 			return err
 		}
-		st := c.Stats()
-		if base == 0 {
-			base = st.Cycles
-		}
+		stack.Tracer.ExportMetrics(reg, appLabel)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "%s latency sweep (%d iteration(s), scale %.2f)\n", *appName, *iters, *scale)
+	fmt.Fprintf(out, "%12s %14s %10s %8s %14s %14s\n",
+		"latency (ns)", "cycles", "normalized", "IPC", "mem accesses", "prefetch hits")
+	for _, r := range res {
+		st := r.Stats
+		ls := []obs.Label{appLabel, obs.L("latency_ns", r.Device)}
 		reg.Gauge("cpusim_cycles", ls...).Set(st.Cycles)
-		reg.Gauge("cpusim_normalized_runtime", ls...).Set(st.Cycles / base)
+		reg.Gauge("cpusim_normalized_runtime", ls...).Set(r.Normalized)
 		reg.Gauge("cpusim_ipc", ls...).Set(st.IPC)
 		reg.Gauge("cpusim_mem_accesses", ls...).Set(float64(st.MemAccesses))
 		reg.Gauge("cpusim_prefetch_hits", ls...).Set(float64(st.PrefetchHits))
-		stack.Tracer.ExportMetrics(reg, ls...)
 		fmt.Fprintf(out, "%12.0f %14.0f %10.3f %8.2f %14d %14d\n",
-			lat, st.Cycles, st.Cycles/base, st.IPC, st.MemAccesses, st.PrefetchHits)
+			r.MemLatencyNS, st.Cycles, r.Normalized, st.IPC, st.MemAccesses, st.PrefetchHits)
 	}
 	if *metricsOut != "" {
 		if err := cli.WriteMetricsFile(*metricsOut, reg.Snapshot()); err != nil {

@@ -22,6 +22,7 @@ package cpusim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"nvscavenger/internal/cachesim"
@@ -80,8 +81,10 @@ func PaperConfig(memLatencyNS float64) Config {
 }
 
 func (c Config) validate() error {
-	if c.FreqGHz <= 0 {
-		return fmt.Errorf("cpusim: non-positive frequency %v", c.FreqGHz)
+	// The comparisons are written so that NaN fails them: NaN <= 0 is
+	// false, so a plain non-positive check would let it through.
+	if !(c.FreqGHz > 0) || math.IsInf(c.FreqGHz, 0) {
+		return fmt.Errorf("cpusim: frequency %v is not a positive finite number", c.FreqGHz)
 	}
 	if c.IssueWidth <= 0 || c.ROB <= 0 || c.MissBuffer <= 0 {
 		return fmt.Errorf("cpusim: non-positive core resources %+v", c)
@@ -89,26 +92,100 @@ func (c Config) validate() error {
 	if c.L1HitCycles <= 0 || c.L2HitCycles < c.L1HitCycles {
 		return fmt.Errorf("cpusim: implausible hit latencies %+v", c)
 	}
-	if c.MemLatencyNS <= 0 {
-		return fmt.Errorf("cpusim: non-positive memory latency")
+	if !(c.MemLatencyNS > 0) || math.IsInf(c.MemLatencyNS, 0) {
+		return fmt.Errorf("cpusim: memory latency %v ns is not a positive finite number", c.MemLatencyNS)
 	}
 	return nil
 }
 
-// Core is the timing model.  It implements the batched trace.PerfSink
-// contract the instrumentation tracer flushes into (FlushEvents), and the
-// per-event Event(gap, access) entry point for direct drivers; events must
-// arrive in program order either way.
-type Core struct {
-	cfg Config
-	hw  *cachesim.Hierarchy
+// service is the latency-independent outcome of one reference: the part of
+// the memory system that services it.  Only the timing of a service class
+// depends on the memory latency, so a latency sweep classifies each
+// reference once and times it at every sweep point.
+type service uint8
 
-	memLatCycles float64
-	// issueStep is the issue bandwidth cost of one instruction in cycles
-	// (1/IssueWidth); lineShift is log2 of the cache line size, the
-	// prefetcher's address-to-line shift.
-	issueStep float64
+const (
+	serviceL1 service = iota
+	serviceL2
+	// servicePrefetch is a last-level miss the stream prefetcher fetched
+	// ahead of use.
+	servicePrefetch
+	serviceMem
+)
+
+// classifier is the latency-independent half of a core: the Table II
+// hierarchy and the stream prefetcher, which together give every reference
+// its service class.
+type classifier struct {
+	hw *cachesim.Hierarchy
+	// lineShift is log2 of the cache line size, the prefetcher's
+	// address-to-line shift.
 	lineShift int
+
+	// stream prefetcher: last line address per tracked stream.
+	streams   []uint64
+	streamRot int
+}
+
+func newClassifier(cfg Config) (classifier, error) {
+	if cfg.Cache.L1.SizeBytes == 0 {
+		cfg.Cache = cachesim.PaperConfig()
+	}
+	hw, err := cachesim.New(cfg.Cache, cfg.MemSink)
+	if err != nil {
+		return classifier{}, err
+	}
+	k := classifier{hw: hw, lineShift: bits.TrailingZeros(uint(hw.LineSize()))}
+	if cfg.PrefetchStreams > 0 {
+		k.streams = make([]uint64, cfg.PrefetchStreams)
+	}
+	return k, nil
+}
+
+// classify runs one reference through the hierarchy and the prefetcher.
+func (k *classifier) classify(a trace.Access) service {
+	switch k.hw.Access(a) {
+	case cachesim.ServicedL1:
+		return serviceL1
+	case cachesim.ServicedL2:
+		return serviceL2
+	}
+	if k.prefetched(a.Addr) {
+		return servicePrefetch
+	}
+	return serviceMem
+}
+
+// prefetched reports whether a missing line continues one of the tracked
+// sequential streams, and allocates a new stream (round-robin) otherwise.
+func (k *classifier) prefetched(addr uint64) bool {
+	if len(k.streams) == 0 {
+		return false
+	}
+	line := addr >> k.lineShift
+	for i, s := range k.streams {
+		if line == s+1 || line == s {
+			k.streams[i] = line
+			return line != s // re-touching the same line is not a stream hit
+		}
+	}
+	k.streams[k.streamRot] = line
+	k.streamRot = (k.streamRot + 1) % len(k.streams)
+	return false
+}
+
+// timing is the latency-dependent half of a core: the issue clock, the
+// reorder-buffer ring, the miss FIFO and the run statistics.  It owns no
+// cache state, so a sweep keeps one per memory latency at the cost of two
+// small rings each.
+type timing struct {
+	freqGHz    float64
+	rob        int
+	missBuffer int
+	// Service latencies in cycles.  issueStep is the issue bandwidth cost
+	// of one instruction (1/IssueWidth).
+	l1Lat, l2Lat, memLat float64
+	issueStep            float64
 
 	// clock is the next issue slot in fractional cycles: each instruction
 	// advances it by issueStep.
@@ -126,10 +203,6 @@ type Core struct {
 	mHead  int
 	mCount int
 
-	// stream prefetcher: last line address per tracked stream.
-	streams   []uint64
-	streamRot int
-
 	// statistics
 	instrs       uint64
 	memRefs      uint64
@@ -145,35 +218,193 @@ type Core struct {
 	missStallCycles float64
 }
 
+// newTiming builds the timing state of a validated configuration.
+func newTiming(cfg Config) timing {
+	return timing{
+		freqGHz:    cfg.FreqGHz,
+		rob:        cfg.ROB,
+		missBuffer: cfg.MissBuffer,
+		l1Lat:      float64(cfg.L1HitCycles),
+		l2Lat:      float64(cfg.L2HitCycles),
+		memLat:     cfg.MemLatencyNS * cfg.FreqGHz,
+		issueStep:  1.0 / float64(cfg.IssueWidth),
+		retire:     make([]float64, cfg.ROB),
+		misses:     make([]float64, cfg.MissBuffer),
+	}
+}
+
+// issueOne issues a single instruction with the given execution latency and
+// returns its retire cycle.
+func (t *timing) issueOne(lat float64, isMemMiss bool) float64 {
+	// Claim an issue slot.
+	t.clock += t.issueStep
+	issue := t.clock
+
+	// The reorder buffer must have a free entry: the instruction ROB
+	// positions ago must have retired.
+	if t.filled == t.rob {
+		if oldest := t.retire[t.pos]; oldest > issue {
+			t.robStallCycles += oldest - issue
+			issue = oldest
+			t.clock = issue
+			t.robStalls++
+		}
+	} else {
+		t.filled++
+	}
+
+	// A main-memory miss needs a miss-buffer entry.
+	if isMemMiss {
+		if t.mCount == t.missBuffer {
+			if head := t.misses[t.mHead]; head > issue {
+				t.missStallCycles += head - issue
+				issue = head
+				t.clock = issue
+				t.missStalls++
+			}
+			if t.mHead++; t.mHead == t.missBuffer {
+				t.mHead = 0
+			}
+			t.mCount--
+		}
+		tail := t.mHead + t.mCount
+		if tail >= t.missBuffer {
+			tail -= t.missBuffer
+		}
+		t.misses[tail] = issue + lat
+		t.mCount++
+	}
+
+	done := issue + lat
+	if done < t.lastRetire {
+		done = t.lastRetire // in-order retirement
+	}
+	t.lastRetire = done
+	t.retire[t.pos] = done
+	if t.pos++; t.pos == t.rob {
+		t.pos = 0
+	}
+	t.instrs++
+	return done
+}
+
+// issueGap issues gap single-cycle compute instructions.
+func (t *timing) issueGap(gap uint64) {
+	for i := uint64(0); i < gap; i++ {
+		t.issueOne(1, false)
+	}
+}
+
+// refLatency counts one memory reference of the given service class and
+// returns the execution latency and miss-buffer claim it issues with.
+func (t *timing) refLatency(svc service, write bool) (lat float64, isMemMiss bool) {
+	t.memRefs++
+	switch svc {
+	case serviceL1:
+		lat = t.l1Lat
+		t.l1Hits++
+	case serviceL2:
+		lat = t.l2Lat
+		t.l2Hits++
+	case servicePrefetch:
+		// The stream prefetcher fetched this line ahead of use; the
+		// demand access finds it in (or on its way to) the L2.
+		lat = t.l2Lat
+		t.prefetchHits++
+	default:
+		lat = t.memLat
+		isMemMiss = true
+		t.memAccess++
+	}
+	if write {
+		// Stores retire through the store buffer: the cache state is
+		// updated, but the instruction occupies its window slot for only a
+		// hit latency — writes are not on the critical path (§V's uniform
+		// read/write latency is applied to loads; buffered stores make the
+		// model's tolerance of write latency explicit).
+		if lat > t.l2Lat {
+			lat = t.l2Lat
+			isMemMiss = false
+		}
+	}
+	return lat, isMemMiss
+}
+
+// Cycles returns the cycle at which the last instruction retires.
+func (t *timing) Cycles() float64 { return t.lastRetire }
+
+// Seconds converts Cycles to wall-clock seconds at the configured frequency.
+func (t *timing) Seconds() float64 { return t.Cycles() / (t.freqGHz * 1e9) }
+
+// IPC returns retired instructions per cycle.
+func (t *timing) IPC() float64 {
+	if t.Cycles() == 0 {
+		return 0
+	}
+	return float64(t.instrs) / t.Cycles()
+}
+
+// Stats summarizes a finished run.
+type Stats struct {
+	Instructions uint64
+	MemRefs      uint64
+	L1Hits       uint64
+	L2Hits       uint64
+	MemAccesses  uint64
+	PrefetchHits uint64
+	ROBStalls    uint64
+	MissStalls   uint64
+	// ROBStallCycles and MissStallCycles attribute issue-clock jumps to
+	// their cause; their sum over Cycles is the structural-stall share.
+	ROBStallCycles  float64
+	MissStallCycles float64
+	Cycles          float64
+	IPC             float64
+}
+
+// Stats returns the run summary.
+func (t *timing) Stats() Stats {
+	return Stats{
+		Instructions:    t.instrs,
+		MemRefs:         t.memRefs,
+		L1Hits:          t.l1Hits,
+		L2Hits:          t.l2Hits,
+		MemAccesses:     t.memAccess,
+		PrefetchHits:    t.prefetchHits,
+		ROBStalls:       t.robStalls,
+		MissStalls:      t.missStalls,
+		ROBStallCycles:  t.robStallCycles,
+		MissStallCycles: t.missStallCycles,
+		Cycles:          t.Cycles(),
+		IPC:             t.IPC(),
+	}
+}
+
+// Core is the timing model: one classifier feeding one timing state.  It
+// implements the batched trace.PerfSink contract the instrumentation tracer
+// flushes into (FlushEvents), and the per-event Event(gap, access) entry
+// point for direct drivers; events must arrive in program order either way.
+// Cycles, Seconds, IPC and Stats report the run.
+type Core struct {
+	classifier
+	timing
+}
+
 // New builds a Core.
 func New(cfg Config) (*Core, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Cache.L1.SizeBytes == 0 {
-		cfg.Cache = cachesim.PaperConfig()
-	}
-	hw, err := cachesim.New(cfg.Cache, cfg.MemSink)
+	k, err := newClassifier(cfg)
 	if err != nil {
 		return nil, err
 	}
-	c := &Core{
-		cfg:          cfg,
-		hw:           hw,
-		memLatCycles: cfg.MemLatencyNS * cfg.FreqGHz,
-		issueStep:    1.0 / float64(cfg.IssueWidth),
-		lineShift:    bits.TrailingZeros(uint(hw.LineSize())),
-		retire:       make([]float64, cfg.ROB),
-		misses:       make([]float64, cfg.MissBuffer),
-	}
-	if cfg.PrefetchStreams > 0 {
-		c.streams = make([]uint64, cfg.PrefetchStreams)
-	}
+	c := &Core{classifier: k, timing: newTiming(cfg)}
 	if cfg.MemSink != nil {
 		// Stamp outgoing transactions with the core clock at issue time;
 		// delivery stays batched, so the downstream power simulator sees
 		// real timing without a per-transaction interface call.
-		hw.SetCycleSource(func() uint64 { return uint64(c.clock) })
+		k.hw.SetCycleSource(func() uint64 { return uint64(c.clock) })
 	}
 	return c, nil
 }
@@ -187,102 +418,12 @@ func MustNew(cfg Config) *Core {
 	return c
 }
 
-// issueOne issues a single instruction with the given execution latency and
-// returns its retire cycle.
-func (c *Core) issueOne(lat float64, isMemMiss bool) float64 {
-	// Claim an issue slot.
-	c.clock += c.issueStep
-	issue := c.clock
-
-	// The reorder buffer must have a free entry: the instruction ROB
-	// positions ago must have retired.
-	if c.filled == c.cfg.ROB {
-		if oldest := c.retire[c.pos]; oldest > issue {
-			c.robStallCycles += oldest - issue
-			issue = oldest
-			c.clock = issue
-			c.robStalls++
-		}
-	} else {
-		c.filled++
-	}
-
-	// A main-memory miss needs a miss-buffer entry.
-	if isMemMiss {
-		if c.mCount == c.cfg.MissBuffer {
-			if head := c.misses[c.mHead]; head > issue {
-				c.missStallCycles += head - issue
-				issue = head
-				c.clock = issue
-				c.missStalls++
-			}
-			if c.mHead++; c.mHead == c.cfg.MissBuffer {
-				c.mHead = 0
-			}
-			c.mCount--
-		}
-		tail := c.mHead + c.mCount
-		if tail >= c.cfg.MissBuffer {
-			tail -= c.cfg.MissBuffer
-		}
-		c.misses[tail] = issue + lat
-		c.mCount++
-	}
-
-	done := issue + lat
-	if done < c.lastRetire {
-		done = c.lastRetire // in-order retirement
-	}
-	c.lastRetire = done
-	c.retire[c.pos] = done
-	if c.pos++; c.pos == c.cfg.ROB {
-		c.pos = 0
-	}
-	c.instrs++
-	return done
-}
-
 // Event consumes one memory reference preceded by gap compute instructions
-// (the memtrace PerfSink contract).
+// (the memtrace PerfSink contract).  The gap issues before the reference
+// reaches the hierarchy, so transactions it emits carry the post-gap clock.
 func (c *Core) Event(gap uint64, a trace.Access) {
-	for i := uint64(0); i < gap; i++ {
-		c.issueOne(1, false)
-	}
-	c.memRefs++
-	lvl := c.hw.Access(a)
-	var lat float64
-	isMiss := false
-	switch lvl {
-	case cachesim.ServicedL1:
-		lat = float64(c.cfg.L1HitCycles)
-		c.l1Hits++
-	case cachesim.ServicedL2:
-		lat = float64(c.cfg.L2HitCycles)
-		c.l2Hits++
-	default:
-		if c.prefetched(a.Addr) {
-			// The stream prefetcher fetched this line ahead of use; the
-			// demand access finds it in (or on its way to) the L2.
-			lat = float64(c.cfg.L2HitCycles)
-			c.prefetchHits++
-		} else {
-			lat = c.memLatCycles
-			isMiss = true
-			c.memAccess++
-		}
-	}
-	if a.IsWrite() {
-		// Stores retire through the store buffer: the cache state is
-		// updated, but the instruction occupies its window slot for only a
-		// hit latency — writes are not on the critical path (§V's uniform
-		// read/write latency is applied to loads; buffered stores make the
-		// model's tolerance of write latency explicit).
-		if lat > float64(c.cfg.L2HitCycles) {
-			lat = float64(c.cfg.L2HitCycles)
-			isMiss = false
-		}
-	}
-	c.issueOne(lat, isMiss)
+	c.issueGap(gap)
+	c.issueOne(c.refLatency(c.classify(a), a.IsWrite()))
 }
 
 // FlushEvents implements trace.PerfSink: one batch of the instruction-
@@ -305,108 +446,80 @@ func (c *Core) Finish() error {
 	return c.hw.Err()
 }
 
-// prefetched reports whether a missing line continues one of the tracked
-// sequential streams, and allocates a new stream (round-robin) otherwise.
-func (c *Core) prefetched(addr uint64) bool {
-	if len(c.streams) == 0 {
-		return false
-	}
-	line := addr >> c.lineShift
-	for i, s := range c.streams {
-		if line == s+1 || line == s {
-			c.streams[i] = line
-			return line != s // re-touching the same line is not a stream hit
-		}
-	}
-	c.streams[c.streamRot] = line
-	c.streamRot = (c.streamRot + 1) % len(c.streams)
-	return false
-}
-
-// Cycles returns the cycle at which the last instruction retires.
-func (c *Core) Cycles() float64 { return c.lastRetire }
-
-// Seconds converts Cycles to wall-clock seconds at the configured frequency.
-func (c *Core) Seconds() float64 { return c.Cycles() / (c.cfg.FreqGHz * 1e9) }
-
-// IPC returns retired instructions per cycle.
-func (c *Core) IPC() float64 {
-	if c.Cycles() == 0 {
-		return 0
-	}
-	return float64(c.instrs) / c.Cycles()
-}
-
-// Stats summarizes a finished run.
-type Stats struct {
-	Instructions uint64
-	MemRefs      uint64
-	L1Hits       uint64
-	L2Hits       uint64
-	MemAccesses  uint64
-	PrefetchHits uint64
-	ROBStalls    uint64
-	MissStalls   uint64
-	// ROBStallCycles and MissStallCycles attribute issue-clock jumps to
-	// their cause; their sum over Cycles is the structural-stall share.
-	ROBStallCycles  float64
-	MissStallCycles float64
-	Cycles          float64
-	IPC             float64
-}
-
-// Stats returns the run summary.
-func (c *Core) Stats() Stats {
-	return Stats{
-		Instructions:    c.instrs,
-		MemRefs:         c.memRefs,
-		L1Hits:          c.l1Hits,
-		L2Hits:          c.l2Hits,
-		MemAccesses:     c.memAccess,
-		PrefetchHits:    c.prefetchHits,
-		ROBStalls:       c.robStalls,
-		MissStalls:      c.missStalls,
-		ROBStallCycles:  c.robStallCycles,
-		MissStallCycles: c.missStallCycles,
-		Cycles:          c.Cycles(),
-		IPC:             c.IPC(),
-	}
-}
-
 // SweepResult is one point of a latency sweep.
 type SweepResult struct {
 	Device       string
 	MemLatencyNS float64
-	Cycles       float64
-	// Normalized is Cycles relative to the first (baseline) sweep point.
+	// Normalized is Stats.Cycles relative to the first (baseline) sweep
+	// point.
 	Normalized float64
+	// Stats is the point's full run summary, equal to that of a Core with
+	// PaperConfig(MemLatencyNS) driven by the same stream.
+	Stats Stats
 }
 
-// Sweep runs the same event stream against each memory latency and returns
-// the runtimes normalized to the first entry (Figure 12's presentation).
-// replay must re-generate the identical event stream into the supplied sink
-// on every call.
-func Sweep(devices []string, latenciesNS []float64, replay func(sink trace.PerfSink)) ([]SweepResult, error) {
+// sweeper is the sink of a one-pass sweep: it classifies each batch once
+// and times the classified batch at every sweep point.
+type sweeper struct {
+	classifier
+	points []timing
+	svc    []service // per-batch classes, reused across flushes
+}
+
+// FlushEvents implements trace.PerfSink.
+func (s *sweeper) FlushEvents(batch []trace.PerfEvent) error {
+	s.svc = s.svc[:0]
+	for _, ev := range batch {
+		s.svc = append(s.svc, s.classify(ev.Access))
+	}
+	for i := range s.points {
+		t := &s.points[i]
+		for j, ev := range batch {
+			t.issueGap(ev.Gap)
+			t.issueOne(t.refLatency(s.svc[j], ev.Access.IsWrite()))
+		}
+	}
+	return nil
+}
+
+// Sweep times one event stream at every memory latency and returns the
+// runtimes normalized to the first entry (Figure 12's presentation).  Only
+// the latency differs between points, and the hierarchy and prefetcher are
+// latency-independent, so replay is called exactly once: each reference is
+// classified once and timed on one timing state per latency.  A replay
+// error aborts the sweep.
+func Sweep(devices []string, latenciesNS []float64, replay func(sink trace.PerfSink) error) ([]SweepResult, error) {
 	if len(devices) != len(latenciesNS) {
 		return nil, fmt.Errorf("cpusim: %d devices but %d latencies", len(devices), len(latenciesNS))
 	}
-	out := make([]SweepResult, 0, len(latenciesNS))
-	var base float64
+	if len(latenciesNS) == 0 {
+		return nil, fmt.Errorf("cpusim: empty latency sweep")
+	}
+	sw := &sweeper{points: make([]timing, len(latenciesNS))}
 	for i, lat := range latenciesNS {
-		core, err := New(PaperConfig(lat))
-		if err != nil {
+		cfg := PaperConfig(lat)
+		if err := cfg.validate(); err != nil {
 			return nil, err
 		}
-		replay(core)
-		cy := core.Cycles()
-		if i == 0 {
-			base = cy
-		}
+		sw.points[i] = newTiming(cfg)
+	}
+	k, err := newClassifier(PaperConfig(latenciesNS[0]))
+	if err != nil {
+		return nil, err
+	}
+	sw.classifier = k
+	if err := replay(sw); err != nil {
+		return nil, err
+	}
+	out := make([]SweepResult, len(latenciesNS))
+	base := sw.points[0].Cycles()
+	for i := range sw.points {
+		st := sw.points[i].Stats()
 		norm := 0.0
 		if base > 0 {
-			norm = cy / base
+			norm = st.Cycles / base
 		}
-		out = append(out, SweepResult{Device: devices[i], MemLatencyNS: lat, Cycles: cy, Normalized: norm})
+		out[i] = SweepResult{Device: devices[i], MemLatencyNS: latenciesNS[i], Normalized: norm, Stats: st}
 	}
 	return out, nil
 }

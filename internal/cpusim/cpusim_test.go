@@ -1,6 +1,7 @@
 package cpusim
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -21,6 +22,13 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.L1HitCycles = 0 },
 		func(c *Config) { c.L2HitCycles = 0 }, // below L1
 		func(c *Config) { c.MemLatencyNS = 0 },
+		// NaN fails no <= comparison, and infinities are not latencies.
+		func(c *Config) { c.MemLatencyNS = math.NaN() },
+		func(c *Config) { c.MemLatencyNS = math.Inf(1) },
+		func(c *Config) { c.MemLatencyNS = math.Inf(-1) },
+		func(c *Config) { c.FreqGHz = math.NaN() },
+		func(c *Config) { c.FreqGHz = math.Inf(1) },
+		func(c *Config) { c.FreqGHz = math.Inf(-1) },
 	}
 	for i, mutate := range cases {
 		cfg := PaperConfig(10)
@@ -190,20 +198,18 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestSweepNormalization(t *testing.T) {
-	replay := func(sink trace.PerfSink) {
+	replay := func(sink trace.PerfSink) error {
 		batch := make([]trace.PerfEvent, 0, 1024)
 		for i := 0; i < 5000; i++ {
 			batch = append(batch, trace.PerfEvent{Gap: 5, Access: trace.Access{Addr: uint64(i%65536) * 64, Size: 8, Op: trace.Read}})
 			if len(batch) == cap(batch) {
 				if err := sink.FlushEvents(batch); err != nil {
-					panic(err)
+					return err
 				}
 				batch = batch[:0]
 			}
 		}
-		if err := sink.FlushEvents(batch); err != nil {
-			panic(err)
-		}
+		return sink.FlushEvents(batch)
 	}
 	res, err := Sweep(
 		[]string{"DRAM", "MRAM", "STTRAM", "PCRAM"},
@@ -230,7 +236,7 @@ func TestSweepNormalization(t *testing.T) {
 }
 
 func TestSweepLengthMismatch(t *testing.T) {
-	_, err := Sweep([]string{"a"}, []float64{1, 2}, func(trace.PerfSink) {})
+	_, err := Sweep([]string{"a"}, []float64{1, 2}, func(trace.PerfSink) error { return nil })
 	if err == nil {
 		t.Fatal("mismatched sweep inputs must error")
 	}
@@ -371,5 +377,137 @@ func TestStallCycleAttribution(t *testing.T) {
 	// With serialization, miss stalls dominate the runtime.
 	if s.MissStallCycles < s.Cycles/2 {
 		t.Fatalf("miss stalls %v should dominate %v cycles", s.MissStallCycles, s.Cycles)
+	}
+}
+
+// sweepStream is a seeded synthetic reference stream that exercises every
+// service class and both structural stalls: reads and writes, accesses that
+// straddle a line boundary, sequential runs the stream prefetcher follows,
+// and bursts of random misses with no compute between them (filling the
+// 64-entry miss buffer) or with long compute gaps (filling the ROB).
+func sweepStream(n int, seed uint64) []trace.PerfEvent {
+	x := seed | 1
+	next := func() uint64 { // xorshift64
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x
+	}
+	out := make([]trace.PerfEvent, 0, n)
+	seq := uint64(1 << 32)
+	for len(out) < n {
+		switch next() % 4 {
+		case 0: // sequential run
+			for i := 0; i < 64; i++ {
+				out = append(out, trace.PerfEvent{Gap: next() % 4, Access: trace.Access{Addr: seq, Size: 8, Op: trace.Read}})
+				seq += 8
+			}
+		case 1: // random miss burst, back to back
+			for i := 0; i < 96; i++ {
+				op := trace.Read
+				if next()%5 == 0 {
+					op = trace.Write
+				}
+				out = append(out, trace.PerfEvent{Access: trace.Access{Addr: (next() % (1 << 30)) &^ 7, Size: 8, Op: op}})
+			}
+		case 2: // misses separated by more compute than the window holds
+			for i := 0; i < 8; i++ {
+				out = append(out, trace.PerfEvent{Gap: 200 + next()%200, Access: trace.Access{Addr: (next() % (1 << 30)) &^ 7, Size: 8, Op: trace.Read}})
+			}
+		default: // a hot working set, line-straddling reads and writes
+			for i := 0; i < 64; i++ {
+				op := trace.Read
+				if next()%3 == 0 {
+					op = trace.Write
+				}
+				addr := (next() % (64 << 10)) | 60 // 60..67 crosses a 64 B line
+				out = append(out, trace.PerfEvent{Gap: next() % 8, Access: trace.Access{Addr: addr, Size: 8, Op: op}})
+			}
+		}
+	}
+	return out[:n]
+}
+
+// replayBatches feeds the stream in tracer-sized batches.
+func replayBatches(sink trace.PerfSink, events []trace.PerfEvent) error {
+	for len(events) > 0 {
+		n := min(len(events), 1000)
+		if err := sink.FlushEvents(events[:n]); err != nil {
+			return err
+		}
+		events = events[n:]
+	}
+	return nil
+}
+
+// TestSweepMatchesIndependentCores: the one-pass sweep classifies each
+// reference once and times it at every latency; every point's statistics
+// must equal, bit for bit, those of a Core driven alone at that latency.
+func TestSweepMatchesIndependentCores(t *testing.T) {
+	events := sweepStream(200000, 7)
+	devices := []string{"DRAM", "MRAM", "STTRAM", "PCRAM"}
+	lats := []float64{10, 12, 20, 100}
+	replays := 0
+	res, err := Sweep(devices, lats, func(sink trace.PerfSink) error {
+		replays++
+		return replayBatches(sink, events)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replays != 1 {
+		t.Fatalf("Sweep called replay %d times, want 1", replays)
+	}
+	for i, lat := range lats {
+		core := MustNew(PaperConfig(lat))
+		if err := replayBatches(core, events); err != nil {
+			t.Fatal(err)
+		}
+		want := core.Stats()
+		got := res[i]
+		if got.Stats != want {
+			t.Errorf("%v ns: sweep stats\n%+v\nwant independent core\n%+v", lat, got.Stats, want)
+		}
+		if got.Device != devices[i] || got.MemLatencyNS != lat {
+			t.Errorf("%v ns: result %+v mislabelled", lat, got)
+		}
+		if norm := want.Cycles / res[0].Stats.Cycles; got.Normalized != norm {
+			t.Errorf("%v ns: normalized %v, want %v", lat, got.Normalized, norm)
+		}
+	}
+	// The stream must reach every path the equality covers.
+	s := res[3].Stats
+	if s.L1Hits == 0 || s.L2Hits == 0 || s.PrefetchHits == 0 || s.MemAccesses == 0 {
+		t.Errorf("stream misses a service class: %+v", s)
+	}
+	if s.ROBStalls == 0 || s.MissStalls == 0 {
+		t.Errorf("stream never fills the ROB or the miss buffer: %+v", s)
+	}
+}
+
+func TestSweepErrors(t *testing.T) {
+	boom := errors.New("boom")
+	_, err := Sweep([]string{"DRAM"}, []float64{10}, func(sink trace.PerfSink) error {
+		if err := sink.FlushEvents(sweepStream(100, 1)); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("Sweep error = %v, want the replay's", err)
+	}
+	replays := 0
+	replay := func(trace.PerfSink) error {
+		replays++
+		return nil
+	}
+	if _, err := Sweep(nil, nil, replay); err == nil {
+		t.Error("empty sweep must error")
+	}
+	if _, err := Sweep([]string{"DRAM", "X"}, []float64{10, math.NaN()}, replay); err == nil {
+		t.Error("Sweep accepted a NaN latency")
+	}
+	if replays != 0 {
+		t.Errorf("Sweep replayed %d times before rejecting its configuration", replays)
 	}
 }

@@ -627,10 +627,9 @@ type Figure12Row struct {
 
 // Figure12 reproduces the performance-sensitivity study.  As in §VII-E,
 // only one iteration of the main loop is simulated, and only for two
-// applications (Nek5000 and CAM); the two sweeps run in parallel.  The app
-// is re-executed for each memory latency with the timing model attached;
-// runs are deterministic, so every sweep point sees the identical
-// reference stream.
+// applications (Nek5000 and CAM); the two sweeps run in parallel.  Each
+// app executes once: its reference stream is classified by the cache
+// hierarchy once and timed at every memory latency (cpusim.Sweep).
 func (s *Session) Figure12() ([]Figure12Row, error) {
 	return collectApps(s, s.subset([]string{"nek5000", "cam"}), func(ctx context.Context, name string) (Figure12Row, error) {
 		res, err := s.latencySweep(ctx, name)
@@ -650,18 +649,16 @@ func countingPerf(sink trace.PerfSink, refs *uint64) trace.PerfSink {
 	})
 }
 
+// latencySweep executes the app once and times its reference stream at
+// every Figure 12 latency.  The run's Refs stay events x sweep points, the
+// simulated work, as power runs count transactions x profiles.
 func (s *Session) latencySweep(ctx context.Context, name string) ([]cpusim.SweepResult, error) {
 	v, err := s.do(ctx, s.key(name, "perf-sweep", "table4-latencies"), func(ctx context.Context) (any, uint64, error) {
 		var refs uint64
-		var runErr error
-		replay := func(sink trace.PerfSink) {
-			if runErr != nil {
-				return
-			}
+		res, err := cpusim.Sweep(Figure12Devices, Figure12Latencies, func(sink trace.PerfSink) error {
 			app, err := apps.New(name, s.opts.Scale)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			pcfg := pipeline.Config{
 				StackMode: memtrace.FastStack,
@@ -670,25 +667,17 @@ func (s *Session) latencySweep(ctx context.Context, name string) ([]cpusim.Sweep
 			s.chaos(&pcfg)
 			stack, err := pipeline.Build(pcfg)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			if err := apps.RunContext(ctx, app, stack.Tracer, 1); err != nil {
-				runErr = err
-				return
+				return err
 			}
-			if err := stack.Close(); err != nil {
-				runErr = err
-			}
-		}
-		res, err := cpusim.Sweep(Figure12Devices, Figure12Latencies, replay)
+			return stack.Close()
+		})
 		if err != nil {
 			return nil, 0, err
 		}
-		if runErr != nil {
-			return nil, 0, runErr
-		}
-		return res, refs, nil
+		return res, refs * uint64(len(Figure12Latencies)), nil
 	})
 	if err != nil {
 		return nil, err

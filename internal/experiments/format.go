@@ -173,7 +173,7 @@ func FormatFigure12(rows []Figure12Row) string {
 		}
 		for _, r := range row.Results {
 			fmt.Fprintf(&b, "%-10s %-8s %12.0f %14.0f %10.3f %s\n",
-				row.App, r.Device, r.MemLatencyNS, r.Cycles, r.Normalized,
+				row.App, r.Device, r.MemLatencyNS, r.Stats.Cycles, r.Normalized,
 				stats.HBar(r.Normalized, maxNorm, 30))
 		}
 	}

@@ -74,22 +74,35 @@ type profObject struct {
 	series []float64 // estimated refs per iteration (index 0 = pre/post)
 }
 
-// profRun is the engine-cached product of one profiler execution.
+// profRun is the engine-cached product of one tracer-only profiler run.
+// It carries the reductions of both studies that compare sampled with full
+// tracing, so SamplingStudy and ProfilerErrorStudy share one execution per
+// sampling configuration.
 type profRun struct {
 	observed uint64
-	objects  map[string]profObject
-	ratio    float64
+	ratio    float64 // Table V overall stack ratio
+	// objects holds the per-object estimates of the main-loop-active
+	// objects (ProfilerErrorStudy).
+	objects map[string]profObject
+	// active and targets are the category-2 placement view (SamplingStudy):
+	// the planned objects seen in the main loop, and every planned object's
+	// placement target.
+	active  map[string]bool
+	targets map[string]core.Target
 }
 
-// profilerRun executes one app under the given sampling spec (the zero
-// spec is the perfect profiler) and reduces the tracer to the per-object
-// estimates the comparison needs.  Runs are keyed by app x mode x rate x
-// seed, so re-requesting a configuration is free and concurrent exhibits
-// share executions.
+// profilerRun executes one app under the given sampling spec and reduces
+// the tracer to the profRun products.  Every disabled spec is the perfect
+// profiler, so runs are keyed "perfect" or by the spec's canonical string:
+// SamplingStudy's period 1 and ProfilerErrorStudy's perfect profiler are one
+// run, as are both studies' every-64th-reference gates.  Re-requesting a
+// configuration is free and concurrent exhibits share executions.
 func (s *Session) profilerRun(ctx context.Context, app string, spec memtrace.SampleSpec) (profRun, error) {
 	profile := "perfect"
 	if spec.Enabled() {
 		profile = spec.String()
+	} else {
+		spec = memtrace.SampleSpec{}
 	}
 	v, err := s.do(ctx, s.key(app, "profiler", profile),
 		func(ctx context.Context) (any, uint64, error) {
@@ -111,8 +124,10 @@ func (s *Session) profilerRun(ctx context.Context, app string, spec memtrace.Sam
 			est := tr.Estimator()
 			res := profRun{
 				observed: tr.Sampled,
-				objects:  map[string]profObject{},
 				ratio:    core.StackAnalysis(tr).OverallRatio,
+				objects:  map[string]profObject{},
+				active:   map[string]bool{},
+				targets:  map[string]core.Target{},
 			}
 			for _, o := range tr.Objects() {
 				loop := est.Loop(o)
@@ -124,6 +139,12 @@ func (s *Session) profilerRun(ctx context.Context, app string, spec memtrace.Sam
 					writes: loop.Writes,
 					series: est.IterSeries(o),
 				}
+			}
+			for _, adv := range core.Plan(tr, core.DefaultPolicy(core.Category2)).Advices {
+				if adv.Object.LoopStats().Refs() > 0 {
+					res.active[adv.Object.Name] = true
+				}
+				res.targets[adv.Object.Name] = adv.Target
 			}
 			return res, tr.Sampled, nil
 		})

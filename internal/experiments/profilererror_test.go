@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -143,4 +145,69 @@ func TestFormatProfilerErrorStudyAlignment(t *testing.T) {
 			ObservedRefs: 1929012, TrueRefs: 123456789, TotalObjects: 25},
 	}
 	tableAligned(t, FormatProfilerErrorStudy("nek5000", rows), "sample spec", len(rows))
+}
+
+// TestStudiesShareProfilerRuns: the sampling and profiler-error studies
+// share one tracer-only run per normalised sampling spec, so the perfect
+// profiler (= sampling period 1) and the every-64th-reference gate execute
+// once for both, and no run is keyed under a separate sampling mode.
+// Sharing must not change a row: each study's rows equal those of a fresh
+// session that renders that study alone.
+func TestStudiesShareProfilerRuns(t *testing.T) {
+	exhibit := func(name string) func(*Session, io.Writer) error {
+		for _, ex := range Exhibits() {
+			if ex.Name == name {
+				return ex.Gen
+			}
+		}
+		t.Fatalf("no exhibit %q", name)
+		return nil
+	}
+	newSession := func() *Session { return NewSession(WithScale(0.05), WithIterations(3)) }
+	periods := []int{1, 16, 64, 256}
+
+	shared := newSession()
+	var out strings.Builder
+	for _, name := range []string{"sampling", "profilererror"} {
+		if err := exhibit(name)(shared, &out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runs := map[string]int{}
+	for _, r := range shared.Metrics().Runs {
+		runs[r.Key.Mode]++
+	}
+	if runs["profiler"] != 8 || runs["sampling"] != 0 || len(shared.Metrics().Runs) != 8 {
+		t.Errorf("runs by mode = %v, want exactly 8 profiler runs", runs)
+	}
+	sampling, err := shared.SamplingStudy("nek5000", periods)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profErr, err := shared.ProfilerErrorStudy("nek5000", DefaultProfilerErrorSpecs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(shared.Metrics().Runs); n != 8 {
+		t.Errorf("re-requesting both studies executed %d more runs", n-8)
+	}
+
+	aloneSampling, err := newSession().SamplingStudy("nek5000", periods)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aloneProfErr, err := newSession().ProfilerErrorStudy("nek5000", DefaultProfilerErrorSpecs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sampling, aloneSampling) {
+		t.Errorf("shared sampling rows\n%+v\nwant\n%+v", sampling, aloneSampling)
+	}
+	if !reflect.DeepEqual(profErr, aloneProfErr) {
+		t.Errorf("shared profiler-error rows\n%+v\nwant\n%+v", profErr, aloneProfErr)
+	}
+	want := FormatSamplingStudy("nek5000", aloneSampling) + "\n" + FormatProfilerErrorStudy("nek5000", aloneProfErr) + "\n"
+	if out.String() != want {
+		t.Errorf("rendered exhibits differ from the studies rendered alone:\n%s\nwant\n%s", out.String(), want)
+	}
 }

@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"strings"
 
-	"nvscavenger/internal/apps"
-	"nvscavenger/internal/core"
 	"nvscavenger/internal/memtrace"
-	"nvscavenger/internal/pipeline"
 	"nvscavenger/internal/runner"
 )
 
@@ -33,60 +30,12 @@ type SamplingRow struct {
 }
 
 // SamplingStudy runs one app at several sampling periods and quantifies the
-// information loss against the full (period 1) instrumentation.  The
-// sampled runs are scheduled on the session's engine — keyed by period —
-// so they execute in parallel and re-requesting a period is free.
+// information loss against the full (period 1) instrumentation.  The runs
+// are the session's profiler runs (see profilerRun): keyed by sampling
+// spec, so they execute in parallel, re-requesting a period is free, and
+// the runs ProfilerErrorStudy also needs execute once.
 func (s *Session) SamplingStudy(app string, periods []int) ([]SamplingRow, error) {
-	type runResult struct {
-		refs    uint64
-		active  map[string]bool
-		targets map[string]core.Target
-		ratio   float64
-	}
-
-	runAt := func(ctx context.Context, period int) (runResult, error) {
-		v, err := s.do(ctx, s.key(app, "sampling", fmt.Sprintf("period-%d", period)),
-			func(ctx context.Context) (any, uint64, error) {
-				a, err := apps.New(app, s.opts.Scale)
-				if err != nil {
-					return nil, 0, err
-				}
-				stack, err := pipeline.Build(pipeline.Config{
-					StackMode: memtrace.FastStack,
-					Sample:    memtrace.SampleSpec{Mode: memtrace.SamplePeriodic, Rate: uint64(period)},
-				})
-				if err != nil {
-					return nil, 0, err
-				}
-				tr := stack.Tracer
-				if err := apps.RunContext(ctx, a, tr, s.opts.Iterations); err != nil {
-					return nil, 0, err
-				}
-				if err := stack.Close(); err != nil {
-					return nil, 0, err
-				}
-				res := runResult{
-					refs:    tr.Sampled,
-					active:  map[string]bool{},
-					targets: map[string]core.Target{},
-					ratio:   core.StackAnalysis(tr).OverallRatio,
-				}
-				plan := core.Plan(tr, core.DefaultPolicy(core.Category2))
-				for _, adv := range plan.Advices {
-					if adv.Object.LoopStats().Refs() > 0 {
-						res.active[adv.Object.Name] = true
-					}
-					res.targets[adv.Object.Name] = adv.Target
-				}
-				return res, tr.Sampled, nil
-			})
-		if err != nil {
-			return runResult{}, err
-		}
-		return v.(runResult), nil
-	}
-
-	full, err := runAt(s.ctx(), 1)
+	full, err := s.profilerRun(s.ctx(), app, memtrace.SampleSpec{})
 	if err != nil {
 		return nil, err
 	}
@@ -95,12 +44,12 @@ func (s *Session) SamplingStudy(app string, periods []int) ([]SamplingRow, error
 		res := full
 		if period > 1 {
 			var err error
-			res, err = runAt(ctx, period)
+			res, err = s.profilerRun(ctx, app, memtrace.SampleSpec{Mode: memtrace.SamplePeriodic, Rate: uint64(period)})
 			if err != nil {
 				return SamplingRow{}, err
 			}
 		}
-		row := SamplingRow{Period: period, ObservedRefs: res.refs, TotalObjects: len(full.active)}
+		row := SamplingRow{Period: period, ObservedRefs: res.observed, TotalObjects: len(full.active)}
 		for name := range full.active {
 			if !res.active[name] {
 				row.LostObjects++

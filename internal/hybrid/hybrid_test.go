@@ -262,7 +262,7 @@ func TestCustomProfiles(t *testing.T) {
 // the partition always sums to the page count.
 func TestQuickConservation(t *testing.T) {
 	f := func(seed int64, n uint16, budget uint8) bool {
-		s := mustNew(t, tinyConfig(int(budget % 16)))
+		s := mustNew(t, tinyConfig(int(budget%16)))
 		rng := rand.New(rand.NewSource(seed))
 		count := int(n%5000) + 1
 		for i := 0; i < count; i++ {

@@ -146,7 +146,7 @@ func TestCollectJoinsSiblingErrors(t *testing.T) {
 			return 0, errA
 		}
 		close(bReady)
-		<-ctx.Done() // woken by a's failure...
+		<-ctx.Done()   // woken by a's failure...
 		return 0, errB // ...but fails with its own error, not ctx.Err()
 	})
 	if !errors.Is(err, errA) {
