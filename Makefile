@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt lint vet build test race race-obs race-pipeline race-sampling race-served race-shard race-journal bench bench-snapshot bench-compare chaos report
+.PHONY: ci fmt lint vet build test race race-obs race-pipeline race-sampling race-served race-journal bench bench-snapshot bench-compare chaos report
 
-ci: fmt lint vet build race-obs race-pipeline race-sampling race-served race-shard race-journal race bench chaos
+ci: fmt lint vet build race-obs race-pipeline race-sampling race-served race-journal race bench chaos
 
 # Formatting gate: gofmt must have nothing to rewrite anywhere in the tree.
 fmt:
@@ -10,7 +10,7 @@ fmt:
 
 # Project-native static analysis: the syntactic passes (determinism,
 # metric naming, the error contract, the sticky-sink contract) plus the
-# flow-sensitive tier (arenaown, lockorder, ctxflow), over every package.
+# flow-sensitive tier (lockorder, ctxflow), over every package.
 # -stats prints per-pass wall time and finding counts; non-zero on any
 # finding; suppress at the site with //nvlint:ignore <pass> <reason>.
 lint:
@@ -63,12 +63,6 @@ race-journal:
 	$(GO) test -race -count=2 ./internal/journal
 	$(GO) test -race -run 'Crash|Recovery|Journal|CleanRestart|Healthz|StateDir' ./internal/served ./cmd/nvserved
 
-# Intra-run sharding promises byte-identical merged output at any shard
-# count; run the shards-1-vs-K identity tests race-enabled twice so the
-# merge and arena hand-off paths stay clean under a varying schedule.
-race-shard:
-	$(GO) test -race -count=2 -run 'TestSharded|TestShards' ./internal/pipeline ./internal/experiments ./internal/served
-
 # One pass over the pipeline-throughput and instrumentation-overhead
 # benchmarks: a smoke check that the batched dataflow and its Counted
 # wrappers keep working, not a timing run.
@@ -80,7 +74,7 @@ bench:
 # parsed results to BENCH_PIPELINE.json (committed, so regressions show
 # up as diffs).  Not part of ci — timing runs need a quiet machine.
 bench-snapshot:
-	$(GO) test -run='^$$' -bench='BenchmarkPipeline(Throughput|InstrumentationOverhead|SampledTracing|Sharded)' -count=1 ./internal/pipeline \
+	$(GO) test -run='^$$' -bench='BenchmarkPipeline(Throughput|InstrumentationOverhead|SampledTracing)' -count=1 ./internal/pipeline \
 		| $(GO) run ./cmd/nvbench -out BENCH_PIPELINE.json
 
 # Compare a fresh timing run against the committed baseline: one row per
@@ -89,7 +83,7 @@ bench-snapshot:
 # (`go run ./cmd/nvbench -compare BENCH_PIPELINE.json -threshold 20`) to
 # gate.
 bench-compare:
-	$(GO) test -run='^$$' -bench='BenchmarkPipeline(Throughput|InstrumentationOverhead|SampledTracing|Sharded)' -count=1 ./internal/pipeline \
+	$(GO) test -run='^$$' -bench='BenchmarkPipeline(Throughput|InstrumentationOverhead|SampledTracing)' -count=1 ./internal/pipeline \
 		| $(GO) run ./cmd/nvbench -compare BENCH_PIPELINE.json
 
 # Chaos gate: the fault-injection and resilience packages race-enabled,

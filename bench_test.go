@@ -25,8 +25,8 @@ import (
 	_ "nvscavenger/internal/apps/s3dmini"
 )
 
-func benchOptions() experiments.Options {
-	return experiments.Options{Scale: 0.1, Iterations: 5}
+func benchOptions() []experiments.Option {
+	return []experiments.Option{experiments.WithScale(0.1), experiments.WithIterations(5)}
 }
 
 // mustMem builds a MemorySystem from a config the benchmark knows is valid.
@@ -43,7 +43,7 @@ func mustMem(b *testing.B, cfg dramsim.Config) *dramsim.MemorySystem {
 
 func BenchmarkTable1Footprints(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := experiments.NewSession(benchOptions())
+		s := experiments.NewSession(benchOptions()...)
 		rows, err := s.Table1()
 		if err != nil {
 			b.Fatal(err)
@@ -56,7 +56,7 @@ func BenchmarkTable1Footprints(b *testing.B) {
 
 func BenchmarkTable5StackAnalysis(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := experiments.NewSession(benchOptions())
+		s := experiments.NewSession(benchOptions()...)
 		rows, err := s.Table5()
 		if err != nil {
 			b.Fatal(err)
@@ -69,7 +69,7 @@ func BenchmarkTable5StackAnalysis(b *testing.B) {
 
 func BenchmarkFigure2CamStackFrames(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := experiments.NewSession(benchOptions())
+		s := experiments.NewSession(benchOptions()...)
 		recs, fig, err := s.Figure2()
 		if err != nil {
 			b.Fatal(err)
@@ -82,7 +82,7 @@ func BenchmarkFigure2CamStackFrames(b *testing.B) {
 
 func BenchmarkFigure3to6Objects(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := experiments.NewSession(benchOptions())
+		s := experiments.NewSession(benchOptions()...)
 		for _, app := range experiments.AppNames {
 			recs, err := s.ObjectFigure(app)
 			if err != nil {
@@ -97,7 +97,7 @@ func BenchmarkFigure3to6Objects(b *testing.B) {
 
 func BenchmarkFigure7UsageCDF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := experiments.NewSession(benchOptions())
+		s := experiments.NewSession(benchOptions()...)
 		cdfs, err := s.Figure7()
 		if err != nil {
 			b.Fatal(err)
@@ -110,7 +110,7 @@ func BenchmarkFigure7UsageCDF(b *testing.B) {
 
 func BenchmarkFigure8to11Variance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := experiments.NewSession(benchOptions())
+		s := experiments.NewSession(benchOptions()...)
 		for _, app := range experiments.AppNames {
 			ratio, rate, err := s.VarianceFigure(app)
 			if err != nil {
@@ -125,7 +125,7 @@ func BenchmarkFigure8to11Variance(b *testing.B) {
 
 func BenchmarkTable6Power(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := experiments.NewSession(benchOptions())
+		s := experiments.NewSession(benchOptions()...)
 		rows, err := s.Table6()
 		if err != nil {
 			b.Fatal(err)
@@ -138,7 +138,7 @@ func BenchmarkTable6Power(b *testing.B) {
 
 func BenchmarkFigure12LatencySweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := experiments.NewSession(benchOptions())
+		s := experiments.NewSession(benchOptions()...)
 		rows, err := s.Figure12()
 		if err != nil {
 			b.Fatal(err)
@@ -151,7 +151,7 @@ func BenchmarkFigure12LatencySweep(b *testing.B) {
 
 func BenchmarkPlacementStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := experiments.NewSession(benchOptions())
+		s := experiments.NewSession(benchOptions()...)
 		plans, err := s.Placement()
 		if err != nil {
 			b.Fatal(err)

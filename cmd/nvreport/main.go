@@ -73,16 +73,17 @@ func run(args []string, out io.Writer) (err error) {
 	iters := fs.Int("iterations", 10, "main-loop iterations")
 	only := fs.String("only", "", "comma-separated exhibit subset (e.g. table5,fig12)")
 	jobs := fs.Int("jobs", 0, "maximum concurrent instrumented runs (0 = GOMAXPROCS)")
-	parallel := fs.Bool("parallel", true, "deprecated: -parallel=false is shorthand for -jobs 1")
 	progress := fs.Bool("progress", true, "stream per-run progress lines to stderr")
 	outdir := fs.String("outdir", "", "also write each exhibit to <outdir>/<name>.txt")
 	metricsOut := fs.String("metrics", "", "write the run's observability snapshot to this file (.json for JSON, text otherwise)")
 	faultSpec := fs.String("fault", "", "chaos run: deterministic fault spec, e.g. sink:every=50,seed=7 or worker:prob=0.3,seed=9 (degrades gracefully)")
 	retries := fs.Int("retries", 0, "re-execute a failed instrumented run up to this many attempts")
 	sampleSpec := fs.String("sample", "", "seeded sampled tracing for every instrumented run, e.g. bernoulli:rate=64,seed=7 or bytes:rate=4096 (default: observe every reference)")
-	shards := fs.Int("shards", 0, "split every instrumented run across this many deterministic shards (merged results are byte-identical to -shards 1; incompatible with -fault)")
 	prof := cli.ProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := cli.ValidateScale(*scale); err != nil {
 		return err
 	}
 	stopProfiles, err := prof.Start()
@@ -90,9 +91,6 @@ func run(args []string, out io.Writer) (err error) {
 		return err
 	}
 	defer stopProfiles(&err)
-	if *shards > 1 && *faultSpec != "" {
-		return fmt.Errorf("-shards and -fault are incompatible (fault injection targets the one live pipeline of a run)")
-	}
 	if *outdir != "" {
 		if err := os.MkdirAll(*outdir, 0o755); err != nil {
 			return err
@@ -106,14 +104,10 @@ func run(args []string, out io.Writer) (err error) {
 		}
 	}
 
-	j := *jobs
-	if !*parallel {
-		j = 1
-	}
 	sessOpts := []experiments.Option{
 		experiments.WithScale(*scale),
 		experiments.WithIterations(*iters),
-		experiments.WithJobs(j),
+		experiments.WithJobs(*jobs),
 	}
 	if *faultSpec != "" {
 		spec, err := faults.Parse(*faultSpec)
@@ -131,9 +125,6 @@ func run(args []string, out io.Writer) (err error) {
 			return err
 		}
 		sessOpts = append(sessOpts, experiments.WithSample(spec))
-	}
-	if *shards > 1 {
-		sessOpts = append(sessOpts, experiments.WithShards(*shards))
 	}
 	if *progress {
 		sessOpts = append(sessOpts, experiments.WithProgress(progressPrinter(os.Stderr)))

@@ -105,6 +105,21 @@ func TestFaultFlagRejectsBadSpec(t *testing.T) {
 	}
 }
 
+func TestScaleFlagRejectsOutOfRange(t *testing.T) {
+	for _, scale := range []string{"NaN", "+Inf", "0", "-1"} {
+		t.Run(scale, func(t *testing.T) {
+			var out bytes.Buffer
+			err := run([]string{"-scale", scale, "-only", "table1", "-progress=false"}, &out)
+			if err == nil || !strings.Contains(err.Error(), "-scale") {
+				t.Fatalf("err = %v, want an error naming -scale", err)
+			}
+			if out.Len() != 0 {
+				t.Errorf("rejected run wrote a report:\n%s", out.String())
+			}
+		})
+	}
+}
+
 func TestRunUnknownExhibit(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-only", "fig99"}, &out); err == nil {

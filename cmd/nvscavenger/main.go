@@ -50,45 +50,6 @@ type instrumented struct {
 	tr  *memtrace.Tracer
 }
 
-// runSharded executes the instrumented run across shards deterministic
-// shards and merges them; the merged tracer is byte-identical to a -shards 1
-// run.  Sharded stacks cannot drive the raw-access stats tap live, so the
-// "accesses" stage counters the tap's Counted boundary would have recorded
-// are published from the merged totals instead.
-func runSharded(ctx context.Context, appName string, scale float64, iters, shards int, stackMode memtrace.StackMode, sample memtrace.SampleSpec, reg *obs.Registry, mode string) (any, uint64, error) {
-	ss, err := pipeline.BuildSharded(pipeline.Config{
-		StackMode: stackMode,
-		Sample:    sample,
-	}, iters, shards)
-	if err != nil {
-		return nil, 0, err
-	}
-	var app apps.App
-	for k := 0; k < ss.Shards(); k++ {
-		a, err := apps.New(appName, scale)
-		if err != nil {
-			//nvlint:ignore errcontract best-effort cleanup; the build error is reported
-			_ = ss.Close()
-			return nil, 0, err
-		}
-		if err := apps.RunContext(ctx, a, ss.Stack(k).Tracer, ss.RunIterations(k)); err != nil {
-			//nvlint:ignore errcontract best-effort cleanup; the run error is reported
-			_ = ss.Close()
-			return nil, 0, err
-		}
-		// The last shard replays the whole run, so its app carries the full
-		// post-processing state the report prints.
-		app = a
-	}
-	stack, err := ss.Merge()
-	if err != nil {
-		return nil, 0, err
-	}
-	pipeline.PublishStageMetrics(reg, "accesses", stack.Tracer.Sampled, 0,
-		obs.L("app", appName), obs.L("mode", mode))
-	return instrumented{app: app, tr: stack.Tracer}, stack.Tracer.Sampled, nil
-}
-
 func run(args []string, out io.Writer) (err error) {
 	fs := cli.NewFlagSet("nvscavenger")
 	appName := fs.String("app", "", "application to instrument: "+cli.AppList())
@@ -104,7 +65,6 @@ func run(args []string, out io.Writer) (err error) {
 	timeout := fs.Duration("timeout", 0, "abort the instrumented run after this long (0 = no limit)")
 	faultSpec := fs.String("fault", "", "chaos run: deterministic fault spec, e.g. access:every=50,seed=7 or worker:every=1")
 	sampleSpec := fs.String("sample", "", "seeded sampled tracing, e.g. bernoulli:rate=64,seed=7 or bytes:rate=4096 (default: observe every reference)")
-	shards := fs.Int("shards", 0, "split the instrumented run across this many deterministic shards (analysis byte-identical to -shards 1; incompatible with -fault)")
 	profiles := cli.ProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -112,8 +72,8 @@ func run(args []string, out io.Writer) (err error) {
 	if err := cli.RequireApp(fs, *appName); err != nil {
 		return err
 	}
-	if *shards > 1 && *faultSpec != "" {
-		return fmt.Errorf("-shards and -fault are incompatible (fault injection targets the one live pipeline of a run)")
+	if err := cli.ValidateScale(*scale); err != nil {
+		return err
 	}
 
 	stackMode := memtrace.FastStack
@@ -161,9 +121,6 @@ func run(args []string, out io.Writer) (err error) {
 		key.Profile = "sample=" + sample.String()
 	}
 	fn := func(ctx context.Context) (any, uint64, error) {
-		if *shards > 1 {
-			return runSharded(ctx, *appName, *scale, *iters, *shards, stackMode, sample, reg, *mode)
-		}
 		app, err := apps.New(*appName, *scale)
 		if err != nil {
 			return nil, 0, err
@@ -357,7 +314,6 @@ func run(args []string, out io.Writer) (err error) {
 			Mode:       *mode,
 			Fault:      *faultSpec,
 			Sample:     *sampleSpec,
-			Shards:     *shards,
 		}, experiments.StateDone)
 		res.Analysis = &snap
 		if err := cli.WriteValueJSONFile(*jsonOut, res); err != nil {

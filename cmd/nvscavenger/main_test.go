@@ -55,6 +55,12 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-badflag"}, &out); err == nil {
 		t.Error("bad flag must error")
 	}
+	for _, scale := range []string{"NaN", "+Inf", "0", "-1"} {
+		err := run([]string{"-app", "gtc", "-scale", scale}, &out)
+		if err == nil || !strings.Contains(err.Error(), "-scale") {
+			t.Errorf("-scale %s: err = %v, want an error naming -scale", scale, err)
+		}
+	}
 }
 
 func TestRunJSONSnapshot(t *testing.T) {

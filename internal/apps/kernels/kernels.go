@@ -5,11 +5,7 @@
 // the performance model see a realistic instruction mix.
 package kernels
 
-import (
-	"math"
-
-	"nvscavenger/internal/memtrace"
-)
+import "nvscavenger/internal/memtrace"
 
 // RNG is a small deterministic xorshift64* generator.  The mini-apps must
 // not depend on math/rand's global state: runs have to be reproducible for
@@ -52,73 +48,6 @@ func FillRandom(a memtrace.F64, rng *RNG, lo, hi float64) {
 	}
 }
 
-// MatMulLocal computes C = A x B for n x n matrices held in stack (or any
-// traced) storage: the spectral-element operator application pattern.
-// Reads 2n^3 elements, writes n^2, so the kernel's stack read/write ratio
-// is ~2n.
-func MatMulLocal(tr *memtrace.Tracer, a, b, c memtrace.F64, n int) {
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			sum := 0.0
-			for k := 0; k < n; k++ {
-				sum += a.Load(i*n+k) * b.Load(k*n+j)
-			}
-			tr.Compute(uint64(2 * n)) // n multiply-adds
-			c.Store(i*n+j, sum)
-		}
-	}
-}
-
-// DotLocal returns the dot product of two traced arrays (2n reads, 0
-// writes).
-func DotLocal(tr *memtrace.Tracer, a, b memtrace.F64) float64 {
-	n := a.Len()
-	if b.Len() < n {
-		n = b.Len()
-	}
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += a.Load(i) * b.Load(i)
-	}
-	tr.Compute(uint64(2 * n))
-	return sum
-}
-
-// AxpyLocal computes y += alpha*x (n reads of x, n read-modify-writes of y).
-func AxpyLocal(tr *memtrace.Tracer, alpha float64, x, y memtrace.F64) {
-	n := x.Len()
-	if y.Len() < n {
-		n = y.Len()
-	}
-	for i := 0; i < n; i++ {
-		y.Add(i, alpha*x.Load(i))
-	}
-	tr.Compute(uint64(2 * n))
-}
-
-// Stencil7 applies one Jacobi sweep of a 7-point 3D stencil on an
-// nx*ny*nz grid: dst = (1-6w)*src + w*sum(neighbours).  Interior points
-// read 7 and write 1; the boundary is copied through.
-func Stencil7(tr *memtrace.Tracer, src, dst memtrace.F64, nx, ny, nz int, w float64) {
-	idx := func(i, j, k int) int { return (i*ny+j)*nz + k }
-	for i := 0; i < nx; i++ {
-		for j := 0; j < ny; j++ {
-			for k := 0; k < nz; k++ {
-				if i == 0 || j == 0 || k == 0 || i == nx-1 || j == ny-1 || k == nz-1 {
-					dst.Store(idx(i, j, k), src.Load(idx(i, j, k)))
-					continue
-				}
-				center := src.Load(idx(i, j, k))
-				sum := src.Load(idx(i-1, j, k)) + src.Load(idx(i+1, j, k)) +
-					src.Load(idx(i, j-1, k)) + src.Load(idx(i, j+1, k)) +
-					src.Load(idx(i, j, k-1)) + src.Load(idx(i, j, k+1))
-				dst.Store(idx(i, j, k), (1-6*w)*center+w*sum)
-			}
-			tr.Compute(uint64(8 * nz))
-		}
-	}
-}
-
 // LegendreTable fills table with the Legendre polynomials P_0..P_{deg}
 // evaluated at the given traced abscissae: table[d*len(x)+i] = P_d(x_i).
 // This is CAM's transform-constant construction.
@@ -138,79 +67,4 @@ func LegendreTable(tr *memtrace.Tracer, xs memtrace.F64, table memtrace.F64, deg
 		}
 		tr.Compute(uint64(5 * deg))
 	}
-}
-
-// InterpolateLookup performs a table-driven linear interpolation, S3D's
-// chemistry-rate pattern: for each query q in [0,1), it reads two adjacent
-// table entries and blends them.  Reads 2 per query plus the query itself.
-func InterpolateLookup(tr *memtrace.Tracer, table memtrace.F64, queries memtrace.F64, out memtrace.F64) {
-	n := table.Len()
-	for i := 0; i < queries.Len(); i++ {
-		q := queries.Load(i)
-		q -= math.Floor(q)
-		pos := q * float64(n-1)
-		lo := int(pos)
-		frac := pos - float64(lo)
-		v := table.Load(lo)*(1-frac) + table.Load(lo+1)*frac
-		out.Store(i, v)
-	}
-	tr.Compute(uint64(6 * queries.Len()))
-}
-
-// StackReader performs a tuned read-heavy pass over a stack-resident array:
-// it writes each element once and then reads the array `reads` times,
-// producing a stack read/write ratio of ~reads.  Routines with interpolation
-// coefficients and cached temporaries — CAM's high-ratio stack pattern —
-// reduce to this shape.  Returns a checksum so the work cannot be elided.
-func StackReader(tr *memtrace.Tracer, local memtrace.F64, reads int) float64 {
-	for i := 0; i < local.Len(); i++ {
-		local.Store(i, float64(i%17)+0.5)
-	}
-	sum := 0.0
-	for r := 0; r < reads; r++ {
-		for i := 0; i < local.Len(); i++ {
-			sum += local.Load(i)
-		}
-		tr.Compute(uint64(local.Len()))
-	}
-	return sum
-}
-
-// GatherScatter models the particle-in-cell field access pattern: for each
-// index in idx, read field[idx] (gather) and accumulate into accum[idx]
-// (scatter: read+write).  The resulting field-array read/write ratio is ~2.
-func GatherScatter(tr *memtrace.Tracer, field memtrace.F64, accum memtrace.F64, idx memtrace.I64, weight float64) float64 {
-	sum := 0.0
-	n := idx.Len()
-	for i := 0; i < n; i++ {
-		j := int(idx.Load(i)) % field.Len()
-		if j < 0 {
-			j += field.Len()
-		}
-		v := field.Load(j)
-		sum += v
-		accum.Add(j%accum.Len(), weight*v)
-	}
-	tr.Compute(uint64(4 * n))
-	return sum
-}
-
-// Tridiag solves a tridiagonal system in place with the Thomas algorithm:
-// the vertical-column physics solve in atmosphere models.  diag, lower,
-// upper and rhs are traced arrays of length n; the solution lands in rhs.
-// Scratch must be at least n long (typically a stack local).
-func Tridiag(tr *memtrace.Tracer, lower, diag, upper, rhs, scratch memtrace.F64, n int) {
-	// Forward sweep.
-	beta := diag.Load(0)
-	rhs.Store(0, rhs.Load(0)/beta)
-	for i := 1; i < n; i++ {
-		scratch.Store(i, upper.Load(i-1)/beta)
-		beta = diag.Load(i) - lower.Load(i)*scratch.Load(i)
-		rhs.Store(i, (rhs.Load(i)-lower.Load(i)*rhs.Load(i-1))/beta)
-	}
-	// Back substitution.
-	for i := n - 2; i >= 0; i-- {
-		rhs.Add(i, -scratch.Load(i+1)*rhs.Load(i+1))
-	}
-	tr.Compute(uint64(8 * n))
 }

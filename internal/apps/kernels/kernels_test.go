@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"nvscavenger/internal/memtrace"
-	"nvscavenger/internal/trace"
 )
 
 func newTracer() *memtrace.Tracer {
@@ -55,109 +54,6 @@ func TestRNGIntn(t *testing.T) {
 	r.Intn(0)
 }
 
-func TestMatMulLocalCorrect(t *testing.T) {
-	tr := newTracer()
-	n := 4
-	g, _ := tr.GlobalF64("a", n*n)
-	h, _ := tr.GlobalF64("b", n*n)
-	c, _ := tr.GlobalF64("c", n*n)
-	rng := NewRNG(3)
-	raw := func(a memtrace.F64) []float64 { return a.Raw() }
-	FillRandom(g, rng, -1, 1)
-	FillRandom(h, rng, -1, 1)
-	MatMulLocal(tr, g, h, c, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			want := 0.0
-			for k := 0; k < n; k++ {
-				want += raw(g)[i*n+k] * raw(h)[k*n+j]
-			}
-			if got := raw(c)[i*n+j]; math.Abs(got-want) > 1e-12 {
-				t.Fatalf("C[%d,%d] = %v, want %v", i, j, got, want)
-			}
-		}
-	}
-}
-
-func TestMatMulReadWriteShape(t *testing.T) {
-	tr := newTracer()
-	n := 8
-	a, _ := tr.GlobalF64("a", n*n)
-	b, _ := tr.GlobalF64("b", n*n)
-	tr.BeginIteration()
-	c, cobj := tr.GlobalF64("c", n*n)
-	MatMulLocal(tr, a, b, c, n)
-	// c receives exactly n^2 writes and no reads from the kernel.
-	if got := cobj.Total(); got.Writes != uint64(n*n) || got.Reads != 0 {
-		t.Fatalf("C stats = %+v", got)
-	}
-	seg := tr.SegmentStats(trace.SegGlobal, 1)
-	wantReads := uint64(2 * n * n * n)
-	if seg.Reads != wantReads {
-		t.Fatalf("reads = %d, want %d", seg.Reads, wantReads)
-	}
-}
-
-func TestDotLocal(t *testing.T) {
-	tr := newTracer()
-	a, _ := tr.GlobalF64("a", 5)
-	b, _ := tr.GlobalF64("b", 5)
-	for i := 0; i < 5; i++ {
-		a.Store(i, float64(i))
-		b.Store(i, 2)
-	}
-	if got := DotLocal(tr, a, b); got != 20 {
-		t.Fatalf("dot = %v, want 20", got)
-	}
-}
-
-func TestAxpyLocal(t *testing.T) {
-	tr := newTracer()
-	x, _ := tr.GlobalF64("x", 4)
-	y, _ := tr.GlobalF64("y", 4)
-	for i := 0; i < 4; i++ {
-		x.Store(i, 1)
-		y.Store(i, float64(i))
-	}
-	AxpyLocal(tr, 3, x, y)
-	for i := 0; i < 4; i++ {
-		if got := y.Raw()[i]; got != float64(i)+3 {
-			t.Fatalf("y[%d] = %v", i, got)
-		}
-	}
-}
-
-func TestStencil7ConservesConstantField(t *testing.T) {
-	tr := newTracer()
-	nx, ny, nz := 6, 6, 6
-	src, _ := tr.GlobalF64("src", nx*ny*nz)
-	dst, _ := tr.GlobalF64("dst", nx*ny*nz)
-	src.Fill(5)
-	Stencil7(tr, src, dst, nx, ny, nz, 0.1)
-	for i, v := range dst.Raw() {
-		if math.Abs(v-5) > 1e-12 {
-			t.Fatalf("dst[%d] = %v, want 5 (constant field is a fixed point)", i, v)
-		}
-	}
-}
-
-func TestStencil7Smooths(t *testing.T) {
-	tr := newTracer()
-	nx, ny, nz := 8, 8, 8
-	src, _ := tr.GlobalF64("src", nx*ny*nz)
-	dst, _ := tr.GlobalF64("dst", nx*ny*nz)
-	src.Fill(0)
-	mid := (4*ny+4)*nz + 4
-	src.Store(mid, 100)
-	Stencil7(tr, src, dst, nx, ny, nz, 0.1)
-	if got := dst.Raw()[mid]; got >= 100 || got <= 0 {
-		t.Fatalf("peak should shrink: %v", got)
-	}
-	if got := dst.Raw()[mid+1]; got <= 0 {
-		t.Fatalf("neighbour should rise: %v", got)
-	}
-}
-
 func TestLegendreTable(t *testing.T) {
 	tr := newTracer()
 	xs, _ := tr.GlobalF64("xs", 3)
@@ -180,101 +76,15 @@ func TestLegendreTable(t *testing.T) {
 	}
 }
 
-func TestInterpolateLookup(t *testing.T) {
-	tr := newTracer()
-	table, _ := tr.GlobalF64("tab", 11) // f(x) = 10x over [0,1]
-	for i := 0; i <= 10; i++ {
-		table.Store(i, float64(i))
-	}
-	q, _ := tr.GlobalF64("q", 2)
-	q.Store(0, 0.25)
-	q.Store(1, 0.85)
-	out, _ := tr.GlobalF64("out", 2)
-	InterpolateLookup(tr, table, q, out)
-	if got := out.Raw()[0]; math.Abs(got-2.5) > 1e-9 {
-		t.Fatalf("interp(0.25) = %v, want 2.5", got)
-	}
-	if got := out.Raw()[1]; math.Abs(got-8.5) > 1e-9 {
-		t.Fatalf("interp(0.85) = %v, want 8.5", got)
-	}
-}
-
-func TestStackReaderRatio(t *testing.T) {
-	tr := newTracer()
-	tr.BeginIteration()
-	f := tr.Enter("reader")
-	local := f.LocalF64(100)
-	sum := StackReader(tr, local, 20)
-	tr.Leave()
-	if sum == 0 {
-		t.Fatal("checksum must be nonzero")
-	}
-	s := tr.SegmentStats(trace.SegStack, 1)
-	ratio := float64(s.Reads) / float64(s.Writes)
-	if ratio < 19 || ratio > 21 {
-		t.Fatalf("stack r/w ratio = %v, want ~20", ratio)
-	}
-}
-
-func TestGatherScatter(t *testing.T) {
-	tr := newTracer()
-	tr.BeginIteration()
-	field, fobj := tr.GlobalF64("field", 16)
-	accum, _ := tr.GlobalF64("accum", 16)
-	idx, _ := tr.GlobalI64("idx", 8)
-	field.Fill(2)
-	for i := 0; i < 8; i++ {
-		idx.Store(i, int64(i*2))
-	}
-	sum := GatherScatter(tr, field, accum, idx, 0.5)
-	if sum != 16 {
-		t.Fatalf("gather sum = %v, want 16", sum)
-	}
-	for i := 0; i < 8; i++ {
-		if got := accum.Raw()[i*2]; got != 1 {
-			t.Fatalf("accum[%d] = %v, want 1", i*2, got)
-		}
-	}
-	if fobj.Total().Writes != 16 { // Fill writes only
-		t.Fatalf("field writes = %d, want 16 (gather must not write)", fobj.Total().Writes)
-	}
-}
-
-func TestTridiagSolvesSystem(t *testing.T) {
-	tr := newTracer()
-	n := 16
-	lower, _ := tr.GlobalF64("lo", n)
-	diag, _ := tr.GlobalF64("d", n)
-	upper, _ := tr.GlobalF64("up", n)
-	rhs, _ := tr.GlobalF64("rhs", n)
-	scratch, _ := tr.GlobalF64("scratch", n)
-	// -1 / 2 / -1 Poisson matrix with a known solution x = all ones:
-	// rhs = A*1: interior 0, ends 1.
-	for i := 0; i < n; i++ {
-		lower.Store(i, -1)
-		diag.Store(i, 2)
-		upper.Store(i, -1)
-		rhs.Store(i, 0)
-	}
-	rhs.Store(0, 1)
-	rhs.Store(n-1, 1)
-	Tridiag(tr, lower, diag, upper, rhs, scratch, n)
-	for i := 0; i < n; i++ {
-		if got := rhs.Raw()[i]; math.Abs(got-1) > 1e-9 {
-			t.Fatalf("x[%d] = %v, want 1", i, got)
-		}
-	}
-}
-
 func TestKernelsAccountCompute(t *testing.T) {
 	tr := newTracer()
-	a, _ := tr.GlobalF64("a", 16)
-	b, _ := tr.GlobalF64("b", 16)
-	c, _ := tr.GlobalF64("c", 16)
+	n, deg := 16, 4
+	xs, _ := tr.GlobalF64("xs", n)
+	table, _ := tr.GlobalF64("leg", (deg+1)*n)
 	before := tr.Instructions()
-	MatMulLocal(tr, a, b, c, 4)
+	LegendreTable(tr, xs, table, deg)
 	after := tr.Instructions()
-	memRefs := uint64(2*4*4*4 + 4*4)
+	memRefs := uint64(n + (deg+1)*n)
 	if after-before <= memRefs {
 		t.Fatal("kernel must account compute instructions beyond its memory references")
 	}

@@ -564,7 +564,6 @@ type refLevel struct {
 	clock    uint64
 	rng      uint64
 	stats    LevelStats
-	muted    bool
 }
 
 func newRefLevel(cfg LevelConfig) *refLevel {
@@ -592,15 +591,11 @@ func (l *refLevel) access(lineAddr uint64, markDirty, allocate bool) (hit bool, 
 			if markDirty {
 				set[i].dirty = true
 			}
-			if !l.muted {
-				l.stats.Hits++
-			}
+			l.stats.Hits++
 			return true, evicted{}, false
 		}
 	}
-	if !l.muted {
-		l.stats.Misses++
-	}
+	l.stats.Misses++
 	if !allocate {
 		return false, evicted{}, false
 	}
@@ -623,11 +618,9 @@ func (l *refLevel) access(lineAddr uint64, markDirty, allocate bool) (hit bool, 
 	if set[victim].valid {
 		ev = evicted{lineAddr: set[victim].tag << l.lineBits, dirty: set[victim].dirty}
 		hasEv = true
-		if !l.muted {
-			l.stats.Evictions++
-			if ev.dirty {
-				l.stats.Writebacks++
-			}
+		l.stats.Evictions++
+		if ev.dirty {
+			l.stats.Writebacks++
 		}
 	}
 fill:
@@ -648,7 +641,7 @@ func (l *refLevel) drainDirty(writeBack func(lineAddr uint64)) {
 
 // TestLevelMatchesReferenceModel drives the flat level and the reference
 // model with the same seeded line streams across every replacement policy,
-// both allocation policies and mute toggles, and requires identical hits,
+// and both allocation policies, and requires identical hits,
 // evictions (line address and dirty bit), statistics and drain order.
 func TestLevelMatchesReferenceModel(t *testing.T) {
 	geometries := []LevelConfig{
@@ -688,10 +681,6 @@ func checkLevelAgainstReference(t *testing.T, cfg LevelConfig, seed int64) int {
 	// (tag 0) the tag+1 encoding.
 	lines := 3 * cfg.sets() * cfg.Ways
 	for i := 0; i < 20000; i++ {
-		if rng.Intn(500) == 0 {
-			m := !got.muted
-			got.muted, want.muted = m, m
-		}
 		n := uint64(rng.Intn(lines))
 		if n%2 == 1 {
 			n += 1 << 40

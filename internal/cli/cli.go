@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -63,6 +64,17 @@ func RequireApp(fs *flag.FlagSet, name string) error {
 		return fmt.Errorf("missing -app (one of %s)", AppList())
 	}
 	return ValidateApp(name)
+}
+
+// ValidateScale checks the -scale flag value: the problem scale must be a
+// finite positive number.  Without the check a NaN or non-positive scale
+// falls through to the apps and the session, which either ignore it or
+// size a run from it.
+func ValidateScale(scale float64) error {
+	if math.IsNaN(scale) || math.IsInf(scale, 0) || scale <= 0 {
+		return fmt.Errorf("-scale %v must be a finite positive number", scale)
+	}
+	return nil
 }
 
 // WriteJSONFile creates path and hands the file to write (typically a

@@ -43,28 +43,6 @@ import (
 // AppNames is the paper's application order.
 var AppNames = []string{"nek5000", "cam", "gtc", "s3d"}
 
-// Options scales the experiment suite.  The zero value is replaced by the
-// calibrated defaults (scale 1.0, 10 iterations — the paper collects data
-// for the first 10 iterations of each main loop, §VII).
-//
-// Deprecated: Options survives as a constructor shim — it implements
-// Option, so NewSession(Options{...}) still compiles.  New code should use
-// the functional options (WithScale, WithIterations, ...).
-type Options struct {
-	Scale      float64
-	Iterations int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Scale <= 0 {
-		o.Scale = 1.0
-	}
-	if o.Iterations <= 0 {
-		o.Iterations = 10
-	}
-	return o
-}
-
 // Run is one memoized instrumented execution.
 type Run struct {
 	App       apps.App
@@ -79,9 +57,8 @@ type Run struct {
 // calls: runs are deduplicated with single-flight semantics, so concurrent
 // requests for the same run share one execution.
 type Session struct {
-	cfg  config
-	opts Options // effective scale/iterations, the legacy view
-	eng  *runner.Engine
+	cfg config
+	eng *runner.Engine
 
 	mu       sync.Mutex
 	failures map[string]string // run key -> first error, the degraded-report annotations
@@ -102,7 +79,6 @@ func NewSession(opts ...Option) *Session {
 	}
 	s := &Session{
 		cfg:      cfg,
-		opts:     Options{Scale: cfg.scale, Iterations: cfg.iterations},
 		failures: map[string]string{},
 	}
 	// Every failed engine run — whatever exhibit requested it — passes
@@ -200,9 +176,6 @@ func (s *Session) chaos(cfg *pipeline.Config) {
 	}
 }
 
-// Options returns the session's effective options.
-func (s *Session) Options() Options { return s.opts }
-
 // Metrics returns the run-level observability snapshot: cache hit/miss
 // counters and per-run wall time and reference throughput.
 func (s *Session) Metrics() runner.Metrics { return s.eng.Metrics() }
@@ -257,8 +230,8 @@ func (s *Session) key(app, mode, profile string) runner.Key {
 	return runner.Key{
 		App:        app,
 		Mode:       mode,
-		Scale:      s.opts.Scale,
-		Iterations: s.opts.Iterations,
+		Scale:      s.cfg.scale,
+		Iterations: s.cfg.iterations,
 		Profile:    profile,
 	}
 }
@@ -306,44 +279,24 @@ func (s *Session) fast(ctx context.Context, name string) (*Run, error) {
 	return v.(*Run), nil
 }
 
-// shards returns the effective shard count for instrumented runs: sessions
-// with armed faults stay on the single-stack path (fault injection targets
-// the one live pipeline of a run, which selective replay would multiply).
-func (s *Session) shards() int {
-	if s.cfg.fault.Enabled() {
-		return 1
-	}
-	return s.cfg.shards
-}
-
-// runSharded executes one run as a sharded replay: every shard replays the
-// app from the start (apps are deterministic in (name, scale)), records its
-// owned iteration span, and Merge folds the shards into a stack
-// byte-identical to the single-stack run.  The returned app is the last
-// shard's — the one that replayed the whole program.
-func (s *Session) runSharded(ctx context.Context, name string, pcfg pipeline.Config, shards int) (*pipeline.Stack, apps.App, error) {
-	ss, err := pipeline.BuildSharded(pcfg, s.opts.Iterations, shards)
+// runStack builds the stack pcfg declares, runs the app through it for the
+// session's iterations and closes it.
+func (s *Session) runStack(ctx context.Context, name string, pcfg pipeline.Config) (*pipeline.Stack, apps.App, error) {
+	app, err := apps.New(name, s.cfg.scale)
 	if err != nil {
 		return nil, nil, err
 	}
-	var app apps.App
-	for k := 0; k < ss.Shards(); k++ {
-		a, err := apps.New(name, s.opts.Scale)
-		if err == nil {
-			err = apps.RunContext(ctx, a, ss.Stack(k).Tracer, ss.RunIterations(k))
-		}
-		if err != nil {
-			//nvlint:ignore errcontract best-effort cleanup; the run error is reported
-			_ = ss.Close()
-			return nil, nil, err
-		}
-		app = a
-	}
-	merged, err := ss.Merge()
+	stack, err := pipeline.Build(pcfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	return merged, app, nil
+	if err := apps.RunContext(ctx, app, stack.Tracer, s.cfg.iterations); err != nil {
+		return nil, nil, err
+	}
+	if err := stack.Close(); err != nil {
+		return nil, nil, err
+	}
+	return stack, app, nil
 }
 
 func (s *Session) runFast(ctx context.Context, name string) (*Run, error) {
@@ -358,30 +311,9 @@ func (s *Session) runFast(ctx context.Context, name string) (*Run, error) {
 		Labels:    labels,
 	}
 	s.chaos(&pcfg)
-	var stack *pipeline.Stack
-	var app apps.App
-	if k := s.shards(); k > 1 {
-		var err error
-		stack, app, err = s.runSharded(ctx, name, pcfg, k)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		app, err = apps.New(name, s.opts.Scale)
-		if err != nil {
-			return nil, err
-		}
-		stack, err = pipeline.Build(pcfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := apps.RunContext(ctx, app, stack.Tracer, s.opts.Iterations); err != nil {
-			return nil, err
-		}
-		if err := stack.Close(); err != nil {
-			return nil, err
-		}
+	stack, app, err := s.runStack(ctx, name, pcfg)
+	if err != nil {
+		return nil, err
 	}
 	stack.Hierarchy.ExportMetrics(s.cfg.metrics, labels...)
 	stack.Tracer.ExportMetrics(s.cfg.metrics, labels...)
@@ -408,30 +340,9 @@ func (s *Session) slow(ctx context.Context, name string) (*Run, error) {
 func (s *Session) runSlow(ctx context.Context, name string) (*Run, error) {
 	pcfg := pipeline.Config{StackMode: memtrace.SlowStack, Sample: s.cfg.sample}
 	s.chaos(&pcfg)
-	var stack *pipeline.Stack
-	var app apps.App
-	if k := s.shards(); k > 1 && len(pcfg.AccessTaps) == 0 {
-		var err error
-		stack, app, err = s.runSharded(ctx, name, pcfg, k)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		app, err = apps.New(name, s.opts.Scale)
-		if err != nil {
-			return nil, err
-		}
-		stack, err = pipeline.Build(pcfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := apps.RunContext(ctx, app, stack.Tracer, s.opts.Iterations); err != nil {
-			return nil, err
-		}
-		if err := stack.Close(); err != nil {
-			return nil, err
-		}
+	stack, app, err := s.runStack(ctx, name, pcfg)
+	if err != nil {
+		return nil, err
 	}
 	stack.Tracer.ExportMetrics(s.cfg.metrics, obs.L("app", name), obs.L("mode", "slow"))
 	return &Run{App: app, Tracer: stack.Tracer}, nil
@@ -656,7 +567,7 @@ func (s *Session) latencySweep(ctx context.Context, name string) ([]cpusim.Sweep
 	v, err := s.do(ctx, s.key(name, "perf-sweep", "table4-latencies"), func(ctx context.Context) (any, uint64, error) {
 		var refs uint64
 		res, err := cpusim.Sweep(Figure12Devices, Figure12Latencies, func(sink trace.PerfSink) error {
-			app, err := apps.New(name, s.opts.Scale)
+			app, err := apps.New(name, s.cfg.scale)
 			if err != nil {
 				return err
 			}

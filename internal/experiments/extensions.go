@@ -78,7 +78,7 @@ func (s *Session) CheckpointStudy(app string, nodes []int) ([]checkpoint.SweepPo
 	}
 	// Scale the measured footprint back up to the paper's per-task size
 	// (DESIGN.md: problem sizes are the paper's divided by ~64/scale).
-	perTask := float64(run.Tracer.Footprint()) * 64 / s.opts.Scale
+	perTask := float64(run.Tracer.Footprint()) * 64 / s.cfg.scale
 	base := checkpoint.System{
 		StateBytesPerNode: perTask,
 		NodeMTBFHours:     50000,

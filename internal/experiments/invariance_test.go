@@ -9,8 +9,8 @@ import (
 // pattern's *shape*, so they must hold across problem scales — otherwise
 // the reproduction would only work at the scale it was tuned at.
 func TestScaleInvariance(t *testing.T) {
-	small := NewSession(Options{Scale: 0.08, Iterations: 6})
-	large := NewSession(Options{Scale: 0.35, Iterations: 6})
+	small := NewSession(WithScale(0.08), WithIterations(6))
+	large := NewSession(WithScale(0.35), WithIterations(6))
 
 	rowsS, err := small.Table5()
 	if err != nil {
@@ -45,8 +45,8 @@ func TestScaleInvariance(t *testing.T) {
 // TestIterationCountInvariance: running 5 vs 10 iterations must not change
 // the steady-state stack metrics (only first-iteration effects differ).
 func TestIterationCountInvariance(t *testing.T) {
-	five := NewSession(Options{Scale: 0.1, Iterations: 5})
-	ten := NewSession(Options{Scale: 0.1, Iterations: 10})
+	five := NewSession(WithScale(0.1), WithIterations(5))
+	ten := NewSession(WithScale(0.1), WithIterations(10))
 	r5, err := five.Table5()
 	if err != nil {
 		t.Fatal(err)

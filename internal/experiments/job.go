@@ -31,9 +31,9 @@ import (
 //	1: initial jobs-API contract (PR 6).
 //	2: adds the optional "sample" spec (seeded sampled tracing,
 //	   mode:rate=N[,seed=S]).  Version-1 payloads decode unchanged.
-//	3: adds the optional "shards" count (deterministic intra-run
-//	   sharding; the merged result is byte-identical to shards=1).
-//	   Version-1 and -2 payloads decode unchanged.
+//	3: adds the optional "shards" count (intra-run sharding, since
+//	   removed: the field is accepted and ignored, and Normalized sets
+//	   it to 0).  Version-1 and -2 payloads decode unchanged.
 const SchemaVersion = 3
 
 // Job lifecycle states, the vocabulary of JobResult.State.  A job moves
@@ -64,7 +64,7 @@ const (
 //	  "fault": "sink:every=50,seed=7", // chaos spec, default none
 //	  "retries": 2,                 // per-run retry attempts
 //	  "sample": "bernoulli:rate=64,seed=7", // sampled tracing, default off (v2)
-//	  "shards": 4                   // intra-run sharding, default 1 (v3)
+//	  "shards": 4                   // accepted and ignored (v3)
 //	}
 type JobSpec struct {
 	SchemaVersion int      `json:"schema_version"`
@@ -80,10 +80,10 @@ type JobSpec struct {
 	// every instrumented run of the job to seeded sampled tracing.  Empty
 	// (the default) observes every reference.  Schema version 2.
 	Sample string `json:"sample,omitempty"`
-	// Shards splits every instrumented run's iteration space across this
-	// many per-shard stacks, merged deterministically (see WithShards); the
-	// results are byte-identical to an unsharded run.  0 or 1 keep the
-	// single-stack path.  Incompatible with "fault".  Schema version 3.
+	// Shards is accepted and ignored, so schema-version-3 payloads and
+	// journals that set it still decode; Normalized sets it to 0.  It
+	// selected intra-run sharding, whose output was byte-identical to an
+	// unsharded run.  Schema version 3.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -108,11 +108,7 @@ func (s JobSpec) Normalized() JobSpec {
 			s.Sample = ""
 		}
 	}
-	// shards=1 is the single-stack default; canonicalize it away so equal
-	// configurations serialize and key identically.
-	if s.Shards == 1 {
-		s.Shards = 0
-	}
+	s.Shards = 0
 	return s
 }
 
@@ -162,9 +158,6 @@ func (s JobSpec) Validate() error {
 	if s.Shards < 0 {
 		return fmt.Errorf("experiments: shards %d must be non-negative", s.Shards)
 	}
-	if s.Shards > 1 && s.Fault != "" {
-		return fmt.Errorf("experiments: shards and fault are incompatible (fault injection targets the one live pipeline of a run)")
-	}
 	return nil
 }
 
@@ -201,9 +194,6 @@ func (s JobSpec) SessionOptions() ([]Option, error) {
 		}
 		opts = append(opts, WithSample(spec))
 	}
-	if n.Shards > 1 {
-		opts = append(opts, WithShards(n.Shards))
-	}
 	return opts, nil
 }
 
@@ -236,9 +226,6 @@ func (s JobSpec) SessionKey() string {
 		",retries=" + strconv.Itoa(n.Retries)
 	if n.Sample != "" {
 		key += ",sample=" + n.Sample
-	}
-	if n.Shards > 1 {
-		key += ",shards=" + strconv.Itoa(n.Shards)
 	}
 	return key
 }

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -91,6 +92,27 @@ func TestJobSpecNormalizeValidateRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeJobSpec(strings.NewReader(`{"schema_version":99}`)); err == nil {
 		t.Error("future schema version must be rejected")
+	}
+
+	// Schema-v3 payloads may still set "shards", also next to "fault": the
+	// field is accepted and normalized away.
+	const v3 = `{"schema_version":3,%s"fault":"sink:every=3,seed=7","scale":0.25,"iterations":5,"apps":["cam"],"exhibits":["table5"]}`
+	withShards, err := DecodeJobSpec(strings.NewReader(fmt.Sprintf(v3, `"shards":4,`)))
+	if err != nil {
+		t.Fatalf("v3 spec with shards and fault rejected: %v", err)
+	}
+	without, err := DecodeJobSpec(strings.NewReader(fmt.Sprintf(v3, "")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := withShards.Normalized(), without.Normalized(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Normalized with shards = %+v, want %+v", got, want)
+	}
+	if got, want := withShards.SessionKey(), without.SessionKey(); got != want {
+		t.Errorf("SessionKey with shards = %q, want %q", got, want)
+	}
+	if _, err := DecodeJobSpec(strings.NewReader(fmt.Sprintf(v3, `"shards":-1,`))); err == nil {
+		t.Error("negative shards must be rejected")
 	}
 }
 

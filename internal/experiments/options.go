@@ -20,10 +20,6 @@ import (
 //		experiments.WithJobs(4),
 //		experiments.WithContext(ctx),
 //	)
-//
-// The legacy Options struct also implements Option, so pre-redesign call
-// sites — NewSession(Options{Scale: 0.25, Iterations: 10}) — keep
-// compiling unchanged.
 type Option interface {
 	apply(*config)
 }
@@ -43,7 +39,6 @@ type config struct {
 	cache      *runner.Cache
 	clock      func() time.Time
 	sample     memtrace.SampleSpec
-	shards     int
 }
 
 func defaultConfig() config {
@@ -190,22 +185,6 @@ func WithSample(spec memtrace.SampleSpec) Option {
 	})
 }
 
-// WithShards splits every instrumented run's iteration space across n
-// per-shard stacks (see pipeline.BuildSharded): each shard replays the app
-// deterministically and records only its owned span, and the session merges
-// the shards into one result byte-identical to the unsharded run.  Because
-// the products are identical, sharded and unsharded runs share run-cache
-// entries.  Values below 2 keep the single-stack path; sessions with armed
-// faults ignore sharding (fault injection targets the one live pipeline of
-// a run, which selective replay would multiply).
-func WithShards(n int) Option {
-	return optionFunc(func(c *config) {
-		if n > 1 {
-			c.shards = n
-		}
-	})
-}
-
 // WithRetry installs a per-run retry policy on the session's engine: a
 // failed (or panicked) instrumented run is re-executed up to attempts
 // times before its error is reported.  Values below 2 are ignored (one
@@ -216,14 +195,4 @@ func WithRetry(attempts int) Option {
 			c.retry = resilience.RetryPolicy{Attempts: attempts}
 		}
 	})
-}
-
-// apply lets the legacy struct act as an Option.
-//
-// Deprecated: construct sessions with functional options instead, e.g.
-// NewSession(WithScale(0.25), WithIterations(10)).
-func (o Options) apply(c *config) {
-	o = o.withDefaults()
-	c.scale = o.Scale
-	c.iterations = o.Iterations
 }

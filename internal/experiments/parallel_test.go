@@ -126,23 +126,6 @@ func TestCancellationMidSweep(t *testing.T) {
 	}
 }
 
-// TestLegacyOptionsShim: the deprecated struct constructor must behave
-// exactly like the functional options.
-func TestLegacyOptionsShim(t *testing.T) {
-	legacy := NewSession(Options{Scale: 0.5, Iterations: 4})
-	if o := legacy.Options(); o.Scale != 0.5 || o.Iterations != 4 {
-		t.Fatalf("legacy options = %+v", o)
-	}
-	zero := NewSession(Options{})
-	if o := zero.Options(); o.Scale != 1.0 || o.Iterations != 10 {
-		t.Fatalf("zero-value legacy options = %+v", o)
-	}
-	fn := NewSession(WithScale(0.5), WithIterations(4))
-	if fn.Options() != legacy.Options() {
-		t.Fatalf("functional %+v != legacy %+v", fn.Options(), legacy.Options())
-	}
-}
-
 // TestWithApps restricts the fan-out set.
 func TestWithApps(t *testing.T) {
 	s := NewSession(WithScale(0.05), WithIterations(2), WithApps("gtc", "s3d"))

@@ -106,7 +106,7 @@ func (s *Session) profilerRun(ctx context.Context, app string, spec memtrace.Sam
 	}
 	v, err := s.do(ctx, s.key(app, "profiler", profile),
 		func(ctx context.Context) (any, uint64, error) {
-			a, err := apps.New(app, s.opts.Scale)
+			a, err := apps.New(app, s.cfg.scale)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -115,7 +115,7 @@ func (s *Session) profilerRun(ctx context.Context, app string, spec memtrace.Sam
 				return nil, 0, err
 			}
 			tr := stack.Tracer
-			if err := apps.RunContext(ctx, a, tr, s.opts.Iterations); err != nil {
+			if err := apps.RunContext(ctx, a, tr, s.cfg.iterations); err != nil {
 				return nil, 0, err
 			}
 			if err := stack.Close(); err != nil {

@@ -235,7 +235,7 @@ func (s *Session) WriteReport(w io.Writer, cfg ReportConfig) error {
 	}
 
 	if _, err := fmt.Fprintf(w, "NV-SCAVENGER evaluation reproduction (scale %.2f, %d iterations)\n",
-		s.Options().Scale, s.Options().Iterations); err != nil {
+		s.cfg.scale, s.cfg.iterations); err != nil {
 		return err
 	}
 	if cfg.Now != nil {

@@ -36,12 +36,12 @@ func (c *txStatsSink) FlushTx(batch []trace.Transaction) error {
 // once up front so the app and tracer stay out of the timed region.
 //
 // The headline "batched" arm is the steady-state unit of the dataflow: one op
-// delivers one full arena batch (trace.DefaultTxBufferSize transactions —
+// delivers one full staging batch (trace.DefaultTxBufferSize transactions —
 // the hierarchy's staging-buffer flush) to the concrete consumer.  That is
 // the per-batch cost the ISSUE's contract prices — one call per batch — and
 // it must run allocation-free.  "per-transaction" delivers the same batch
 // through the legacy one-interface-call-per-transaction adapter, and
-// "full-trace" replays the entire captured trace per op (the pre-arena
+// "full-trace" replays the entire captured trace per op (the original
 // benchmark shape, kept for cross-snapshot trajectory).
 func BenchmarkPipelineThroughput(b *testing.B) {
 	app, err := apps.New("gtc", 0.3)
@@ -101,48 +101,6 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkPipelineSharded runs the full instrumented stack end to end at
-// several shard counts.  Selective replay means shard k re-executes the
-// run's prefix to reach its span, so on a single core higher shard counts
-// cost replay overhead; the series exists to price that trade (on K cores
-// the shards run concurrently and the replay hides behind the parallelism)
-// and to keep the merge path on the benchmark snapshot.
-func BenchmarkPipelineSharded(b *testing.B) {
-	arenas := NewArenas(0)
-	run := func(b *testing.B, shards int) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			cacheCfg := cachesim.PaperConfig()
-			ss, err := BuildSharded(Config{
-				StackMode: memtrace.FastStack,
-				Cache:     &cacheCfg,
-				CaptureTx: true,
-				Arenas:    arenas,
-			}, 4, shards)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for k := 0; k < ss.Shards(); k++ {
-				app, err := apps.New("gtc", 0.1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := apps.Run(app, ss.Stack(k).Tracer, ss.RunIterations(k)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, err := ss.Merge(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	// The "=" in the sub-benchmark names keeps them distinct from go test's
-	// -GOMAXPROCS name suffix, which snapshot parsers strip.
-	b.Run("shards=1", func(b *testing.B) { run(b, 1) })
-	b.Run("shards=2", func(b *testing.B) { run(b, 2) })
-	b.Run("shards=4", func(b *testing.B) { run(b, 4) })
 }
 
 // BenchmarkPipelineInstrumentationOverhead measures what the Counted stage

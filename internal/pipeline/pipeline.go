@@ -24,7 +24,6 @@ import (
 	"nvscavenger/internal/cachesim"
 	"nvscavenger/internal/memtrace"
 	"nvscavenger/internal/obs"
-	"nvscavenger/internal/resilience"
 	"nvscavenger/internal/trace"
 )
 
@@ -62,7 +61,6 @@ type filter[T any] struct {
 	pred    func(T) bool
 	next    Stage[T]
 	scratch []T
-	arena   *trace.Arena[T]
 }
 
 // Filter returns a stage forwarding only events for which pred is true.
@@ -83,15 +81,6 @@ func (f *filter[T]) Flush(batch []T) error {
 		return nil
 	}
 	return f.next.Flush(f.scratch)
-}
-
-// Release hands an arena-drawn scratch slab back; the filter must not be
-// flushed afterwards.  No-op for lazily-grown scratch.
-func (f *filter[T]) Release() {
-	if f.arena != nil && f.scratch != nil {
-		f.arena.Put(f.scratch)
-		f.scratch = nil
-	}
 }
 
 // counted instruments a stage boundary with obs counters.
@@ -131,70 +120,6 @@ func (c *counted[T]) Flush(batch []T) error {
 	return nil
 }
 
-// resilient wraps a stage boundary with retry and an optional breaker.
-type resilient[T any] struct {
-	next      Stage[T]
-	retry     resilience.RetryPolicy
-	breaker   *resilience.Breaker
-	retries   *obs.Counter
-	dropped   *obs.Counter
-	trips     *obs.Counter
-	lastTrips uint64
-}
-
-// Resilient wraps next with failure handling, the robustness sibling of
-// Counted: flush errors are retried per the policy, and — when a breaker
-// is supplied — an exhausted flush trips the breaker and the batch is
-// *dropped* instead of propagating the error upstream (graceful
-// degradation: the run completes on the surviving stages).  While the
-// breaker is open, batches are dropped without touching the stage; after
-// its cooldown one batch probes the stage and success resumes normal
-// flow.  With a nil breaker, exhausted errors propagate, so Resilient is
-// then pure retry.  Retries, dropped events and breaker trips land in the
-// registry as pipeline_retries_total / pipeline_dropped_events_total /
-// pipeline_trips_total, stage-labelled like the Counted series.  A nil
-// registry keeps the behaviour but skips the accounting.
-func Resilient[T any](reg *obs.Registry, stage string, retry resilience.RetryPolicy, br *resilience.Breaker, next Stage[T], labels ...obs.Label) Stage[T] {
-	if reg == nil {
-		reg = obs.NewRegistry() // private: resilience without accounting
-	}
-	ls := append(append([]obs.Label{}, labels...), obs.L("stage", stage))
-	return &resilient[T]{
-		next:    next,
-		retry:   retry,
-		breaker: br,
-		retries: reg.Counter("pipeline_retries_total", ls...),
-		dropped: reg.Counter("pipeline_dropped_events_total", ls...),
-		trips:   reg.Counter("pipeline_trips_total", ls...),
-	}
-}
-
-// Flush implements Stage.
-func (r *resilient[T]) Flush(batch []T) error {
-	if r.breaker != nil && !r.breaker.Allow() {
-		r.dropped.Add(uint64(len(batch)))
-		return nil
-	}
-	n, err := r.retry.Do(func() error { return r.next.Flush(batch) })
-	r.retries.Add(uint64(n))
-	if err == nil {
-		if r.breaker != nil {
-			r.breaker.Success()
-		}
-		return nil
-	}
-	if r.breaker == nil {
-		return err
-	}
-	r.breaker.Failure()
-	if t := r.breaker.Trips(); t > r.lastTrips {
-		r.trips.Add(t - r.lastTrips)
-		r.lastTrips = t
-	}
-	r.dropped.Add(uint64(len(batch)))
-	return nil
-}
-
 // Capture is a terminal stage accumulating every event in memory.
 type Capture[T any] struct {
 	// Items holds the captured events in arrival order.
@@ -206,6 +131,16 @@ func (c *Capture[T]) Flush(batch []T) error {
 	c.Items = append(c.Items, batch...)
 	return nil
 }
+
+// TxCapture is Capture with the concrete trace.TxSink contract on top, so a
+// fused stack's transaction buffer flushes straight into it without an
+// adapter closure.
+type TxCapture struct {
+	Capture[trace.Transaction]
+}
+
+// FlushTx implements trace.TxSink.
+func (c *TxCapture) FlushTx(batch []trace.Transaction) error { return c.Flush(batch) }
 
 // TxStage adapts a trace.TxSink (method FlushTx) to the generic Stage
 // contract so transaction consumers compose with the combinators.
@@ -269,16 +204,6 @@ type Config struct {
 	Metrics *obs.Registry
 	// Labels are attached to every pipeline metric series.
 	Labels []obs.Label
-	// Arenas, when set, supplies every staging slab in the stack (tracer
-	// access buffer, hierarchy transaction buffer) from shared batch arenas
-	// instead of private allocations; Close hands the slabs back.  Sharded
-	// stacks share one Arenas across their shards.
-	Arenas *Arenas
-
-	// window restricts recording to an owned slice of the iteration space;
-	// only BuildSharded sets it (Config is copied by value, so callers
-	// outside the package cannot).
-	window *memtrace.Window
 }
 
 // Stack is an assembled dataflow: the tracer the instrumented application
@@ -290,7 +215,6 @@ type Stack struct {
 	Hierarchy *cachesim.Hierarchy
 
 	capture  *Capture[trace.Transaction]
-	arenas   *Arenas
 	closed   bool
 	closeErr error
 }
@@ -310,7 +234,7 @@ func Build(cfg Config) (*Stack, error) {
 	if cfg.Cache == nil && (len(cfg.TxSinks) > 0 || cfg.CaptureTx) {
 		return nil, fmt.Errorf("pipeline: transaction consumers configured without a Cache stage")
 	}
-	st := &Stack{arenas: cfg.Arenas}
+	st := &Stack{}
 	fused := cfg.Metrics == nil
 
 	if cfg.Cache != nil {
@@ -340,13 +264,7 @@ func Build(cfg Config) (*Stack, error) {
 				txSink = ToTxSink(Counted(cfg.Metrics, "transactions", Tee(txStages...), cfg.Labels...))
 			}
 		}
-		var hier *cachesim.Hierarchy
-		var err error
-		if cfg.Arenas != nil {
-			hier, err = cachesim.NewWithArena(*cfg.Cache, txSink, cfg.Arenas.Tx)
-		} else {
-			hier, err = cachesim.New(*cfg.Cache, txSink)
-		}
+		hier, err := cachesim.New(*cfg.Cache, txSink)
 		if err != nil {
 			return nil, err
 		}
@@ -384,24 +302,13 @@ func Build(cfg Config) (*Stack, error) {
 		}
 	}
 
-	if cfg.window != nil && st.Hierarchy != nil {
-		h := st.Hierarchy
-		cfg.window.OnOwnership = func(owned bool) { h.SetMuted(!owned) }
-		h.SetMuted(!cfg.window.First)
-	}
-
-	mcfg := memtrace.Config{
+	st.Tracer = memtrace.New(memtrace.Config{
 		StackMode:  cfg.StackMode,
 		Sample:     cfg.Sample,
 		BufferSize: cfg.BufferSize,
 		Sink:       sink,
 		Perf:       perf,
-		Window:     cfg.window,
-	}
-	if cfg.Arenas != nil {
-		mcfg.Arena = cfg.Arenas.Access
-	}
-	st.Tracer = memtrace.New(mcfg)
+	})
 	return st, nil
 }
 
@@ -441,12 +348,6 @@ func (s *Stack) Close() error {
 		}
 		if err == nil {
 			err = s.Hierarchy.Err()
-		}
-	}
-	if s.arenas != nil {
-		s.Tracer.ReleaseBuffers()
-		if s.Hierarchy != nil {
-			s.Hierarchy.ReleaseBuffers()
 		}
 	}
 	s.closeErr = err

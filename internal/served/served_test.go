@@ -107,12 +107,11 @@ func TestConcurrentSubmissionSingleFlight(t *testing.T) {
 	}
 }
 
-// TestShardedJobByteIdentical: a sharded job served over the jobs API
-// produces the same report bytes as the unsharded job.  Each spec runs in
-// its own manager: sharded and unsharded jobs deliberately share the
-// healthy run cache (the merged products are byte-identical), so a single
-// manager would memoize the first job's runs and never execute the second
-// path.
+// TestShardedJobByteIdentical: a schema-v3 job that still sets "shards"
+// (intra-run sharding is gone; the field is accepted and ignored) is served
+// and produces the same report bytes as the job without it.  Each spec
+// runs in its own manager so both jobs execute their runs rather than the
+// second reading the first's memoized products.
 func TestShardedJobByteIdentical(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()

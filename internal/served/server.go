@@ -118,7 +118,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusAccepted, job.Result())
+	// The 202 body is the admission record.  A worker may already have
+	// started the job, so reading its live state here would answer
+	// "running" or "queued" depending on the schedule.
+	res := experiments.NewJobResult(job.Spec(), experiments.StateQueued)
+	res.ID = job.ID()
+	s.writeJSON(w, http.StatusAccepted, res)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
